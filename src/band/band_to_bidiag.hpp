@@ -14,12 +14,10 @@
 
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "band/band_matrix.hpp"
-#include "band/rot_batch.hpp"
 #include "common/error.hpp"
 #include "common/givens_rows.hpp"
 
@@ -56,23 +54,9 @@ std::pair<CT, CT> givens(CT f, CT g) {
 struct ChaseStats {
   double rotations = 0.0;      ///< Givens rotations applied
   double rotated_elems = 0.0;  ///< element pairs updated
-  double batch_flushes = 0.0;  ///< rotation-batch replay passes (0 = eager)
-};
-
-/// Options of the Stage-2 chase (the accumulator-carrying overload below).
-template <class CT>
-struct Stage2Options {
-  MatrixView<CT>* ut = nullptr;      ///< left accumulator (rows = vectors)
-  MatrixView<CT>* vt = nullptr;      ///< right accumulator
-  double* acc_seconds = nullptr;     ///< Stage::VectorAccumulation share
-  /// Cache-blocked rotation batching (band/rot_batch.hpp): when `backend`
-  /// is non-null and `rot_batch` > 0, accumulator mirroring buffers up to
-  /// `rot_batch` rotations and replays each batch tile-by-tile through a
-  /// backend launch — bit-identical to the eager per-rotation path, but
-  /// with L1/L2-resident accumulator traffic and trace-visible launches.
-  /// Otherwise (the default) rotations mirror eagerly as they are made.
-  ka::Backend* backend = nullptr;
-  index_t rot_batch = 0;
+  /// Always 0: accumulator mirroring is eager (no replay passes). Kept so
+  /// consumers that sum it across reports keep compiling.
+  double batch_flushes = 0.0;
 };
 
 /// Reduce `b` (upper band, bandwidth bw) to upper bidiagonal; returns the
@@ -87,6 +71,9 @@ struct Stage2Options {
 /// with or without accumulators, so d/e — and the singular values — stay
 /// bit-identical. Identity rotations (c == 1, s == 0), which the padding
 /// region produces in bulk, skip the accumulator update (an exact no-op).
+/// The mirror rotations of each chase column are logged and replayed in
+/// order at the end of that column (common/givens_rows.hpp RotationLog):
+/// bit-identical to mirroring each one as it is made.
 ///
 /// When `acc_seconds` is non-null, the wall clock the accumulator updates
 /// consume is added to it — the pipeline driver subtracts that share from
@@ -94,22 +81,15 @@ struct Stage2Options {
 /// the Figure 6 breakdown attributes vector work to the vector stage.
 template <class CT>
 ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>& e,
-                          const Stage2Options<CT>& opts) {
+                          MatrixView<CT>* ut = nullptr,
+                          MatrixView<CT>* vt = nullptr,
+                          double* acc_seconds = nullptr) {
+  using Side = typename RotationLog<CT>::Side;
   const index_t n = b.n();
   const index_t bw = b.bandwidth();
-  MatrixView<CT>* ut = opts.ut;
-  MatrixView<CT>* vt = opts.vt;
   ChaseStats stats;
-  const AccTimer acc_timer(opts.acc_seconds);
-
-  // Rotation-batch replay: buffer the mirror rotations and apply them to
-  // L1-resident accumulator column tiles instead of sweeping the full
-  // accumulator once per rotation. Bit-identical (see rot_batch.hpp).
-  std::optional<GivensBatch<CT>> batch;
-  if (opts.backend != nullptr && opts.rot_batch > 0 &&
-      (ut != nullptr || vt != nullptr)) {
-    batch.emplace(*opts.backend, ut, vt, opts.rot_batch, acc_timer);
-  }
+  RotationLog<CT> log(ut != nullptr ? *ut : MatrixView<CT>(),
+                      vt != nullptr ? *vt : MatrixView<CT>(), acc_seconds);
 
   auto rotate_cols = [&](index_t c1, index_t c2, index_t ilo, index_t ihi, CT c, CT s) {
     for (index_t i = ilo; i <= ihi; ++i) {
@@ -121,11 +101,7 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
       v = nv;
     }
     if (vt != nullptr && !(c == CT(1) && s == CT(0))) {
-      if (batch.has_value()) {
-        batch->push(GivensBatch<CT>::Side::Right, c1, c2, c, s);
-      } else {
-        acc_timer.timed([&] { apply_givens_rows(*vt, c1, c2, c, s); });
-      }
+      log.rotate(Side::V, c1, c2, c, s);
     }
     stats.rotations += 1.0;
     stats.rotated_elems += static_cast<double>(ihi - ilo + 1);
@@ -140,11 +116,7 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
       v = nv;
     }
     if (ut != nullptr && !(c == CT(1) && s == CT(0))) {
-      if (batch.has_value()) {
-        batch->push(GivensBatch<CT>::Side::Left, r1, r2, c, s);
-      } else {
-        acc_timer.timed([&] { apply_givens_rows(*ut, r1, r2, c, s); });
-      }
+      log.rotate(Side::U, r1, r2, c, s);
     }
     stats.rotations += 1.0;
     stats.rotated_elems += static_cast<double>(jhi - jlo + 1);
@@ -183,12 +155,8 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
           r = q;  // ... creating the next subdiagonal bulge at (q, q-1)
         }
       }
+      log.flush();  // no-op when nothing was mirrored (values only)
     }
-  }
-
-  if (batch.has_value()) {
-    batch->flush();
-    stats.batch_flushes = static_cast<double>(batch->flushes());
   }
 
   d.resize(static_cast<std::size_t>(n));
@@ -198,20 +166,6 @@ ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>
     if (i + 1 < n) e[static_cast<std::size_t>(i)] = b.at(i, i + 1);
   }
   return stats;
-}
-
-/// Back-compatible eager-mirroring entry point (the historic signature):
-/// identical arithmetic, no rotation batching.
-template <class CT>
-ChaseStats band_to_bidiag(BandMatrix<CT>& b, std::vector<CT>& d, std::vector<CT>& e,
-                          MatrixView<CT>* ut = nullptr,
-                          MatrixView<CT>* vt = nullptr,
-                          double* acc_seconds = nullptr) {
-  Stage2Options<CT> opts;
-  opts.ut = ut;
-  opts.vt = vt;
-  opts.acc_seconds = acc_seconds;
-  return band_to_bidiag(b, d, e, opts);
 }
 
 }  // namespace unisvd::band

@@ -48,41 +48,41 @@ struct NullRotationSink {
   template <class S>
   void rotate_v(long, long, S, S) noexcept {}
   void negate_v(long) noexcept {}
+  void flush() noexcept {}
 };
 
 /// Sink applying rotations to rows of the transposed accumulators Ut / Vt.
 /// "Rotate U columns (j, i)" of the textbook formulation is exactly the
 /// apply_givens_rows pair rotation on rows j, i of Ut (and likewise for V
 /// on Vt) — the same shared helper Stage 2 mirrors its chase rotations
-/// through. The AccTimer books the accumulator wall clock separately so the
-/// driver can attribute it to Stage::VectorAccumulation (the d/e iteration
-/// itself stays under BidiagonalToDiagonal).
+/// through. Updates are logged and replayed in order at every flush()
+/// (the iteration flushes once per QR step), bit-identical to applying
+/// each one as it is made; the log's AccTimer books the accumulator wall
+/// clock once per flush so the driver can attribute it to
+/// Stage::VectorAccumulation (the d/e iteration itself stays under
+/// BidiagonalToDiagonal).
 template <class AT>
 struct MatrixRotationSink {
   static constexpr bool kActive = true;
   static constexpr bool kAllowRescue = true;
-  MatrixView<AT> ut;
-  MatrixView<AT> vt;
-  // Default member initializer keeps the two-field aggregate init used by
-  // callers that never time the accumulators (tests, the rescue path)
-  // valid and warning-free.
-  AccTimer timer = AccTimer(nullptr);
+
+  MatrixRotationSink(MatrixView<AT> ut, MatrixView<AT> vt,
+                     double* acc_seconds = nullptr)
+      : log_(ut, vt, acc_seconds) {}
 
   template <class S>
   void rotate_u(long r1, long r2, S c, S s) {
-    timer.timed([&] { apply_givens_rows(ut, r1, r2, c, s); });
+    log_.rotate(RotationLog<AT>::Side::U, r1, r2, c, s);
   }
   template <class S>
   void rotate_v(long r1, long r2, S c, S s) {
-    timer.timed([&] { apply_givens_rows(vt, r1, r2, c, s); });
+    log_.rotate(RotationLog<AT>::Side::V, r1, r2, c, s);
   }
-  void negate_v(long r) {
-    timer.timed([&] {
-      for (index_t j = 0; j < vt.cols(); ++j) {
-        vt.at(r, j) = -vt.at(r, j);
-      }
-    });
-  }
+  void negate_v(long r) { log_.negate(RotationLog<AT>::Side::V, r); }
+  void flush() { log_.flush(); }
+
+ private:
+  RotationLog<AT> log_;
 };
 
 /// Sink adapter shifting row indices by a block offset — used when the
@@ -107,6 +107,7 @@ struct OffsetRotationSink {
     base->rotate_v(r1 + offset, r2 + offset, c, s);
   }
   void negate_v(long r) { base->negate_v(r + offset); }
+  void flush() { base->flush(); }
 };
 
 constexpr int kMaxSweeps = 60;
@@ -275,7 +276,9 @@ void golub_reinsch_iterate(std::vector<CT>& w, std::vector<CT>& rv1, Sink& sink,
       at(rv1, l) = CT(0);
       at(rv1, k) = f;
       at(w, k) = x;
+      sink.flush();  // one accumulator replay per QR step
     }
+    sink.flush();  // cancellation / sign fix / rescue of the converged block
   }
 }
 
@@ -324,11 +327,12 @@ std::vector<CT> bidiag_svd_qr_vectors(std::vector<CT> d, std::vector<CT> e,
                  "bidiag_svd_qr_vectors: e must have length n-1");
   UNISVD_REQUIRE(ut.rows() >= n && vt.rows() >= n,
                  "bidiag_svd_qr_vectors: accumulators must cover n rows");
-  detail::MatrixRotationSink<CT> sink{ut, vt, AccTimer(acc_seconds)};
+  detail::MatrixRotationSink<CT> sink(ut, vt, acc_seconds);
   if (n == 1) {
     if (d[0] < CT(0)) {
       d[0] = -d[0];
       sink.negate_v(0);
+      sink.flush();
     }
     return d;
   }
@@ -346,6 +350,7 @@ std::vector<CT> bidiag_svd_qr_vectors(std::vector<CT> d, std::vector<CT> e,
       sink.negate_v(i);
     }
   }
+  sink.flush();
 
   // Descending sort with the permutation applied to the accumulator rows.
   // stable_sort on indices yields the same value sequence as the values-only
@@ -359,20 +364,17 @@ std::vector<CT> bidiag_svd_qr_vectors(std::vector<CT> d, std::vector<CT> e,
   for (std::size_t i = 0; i < idx.size(); ++i) sorted[i] = w[idx[i]];
   w = std::move(sorted);
 
-  const auto permute_rows = [&](MatrixView<CT> m) {
-    std::vector<CT> tmp(static_cast<std::size_t>(n));
-    for (index_t j = 0; j < m.cols(); ++j) {
-      for (std::size_t i = 0; i < idx.size(); ++i) {
-        tmp[i] = m.at(static_cast<index_t>(idx[i]), j);
-      }
-      for (std::size_t i = 0; i < idx.size(); ++i) {
-        m.at(static_cast<index_t>(i), j) = tmp[i];
-      }
+  // Apply the permutation (row i <- row idx[i]) in place by whole-row
+  // swaps along its cycles: each swap moves contiguous rows of the
+  // vector-contiguous accumulators, and no scratch copy is needed.
+  AccTimer(acc_seconds).timed([&] {
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+      std::size_t src = idx[i];
+      while (src < i) src = idx[src];  // follow rows already swapped away
+      if (src == i) continue;
+      swap_rows(ut, static_cast<index_t>(i), static_cast<index_t>(src));
+      swap_rows(vt, static_cast<index_t>(i), static_cast<index_t>(src));
     }
-  };
-  sink.timer.timed([&] {
-    permute_rows(ut);
-    permute_rows(vt);
   });
   return w;
 }

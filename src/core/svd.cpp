@@ -55,7 +55,7 @@ Matrix<CT> identity(index_t n) {
 /// order: the sigma-sorted rows first, then (Full job on padded/tall
 /// inputs) the orthonormal-completion leftovers.
 template <class CT>
-std::vector<index_t> select_real_rows(const Matrix<CT>& acc, index_t real,
+std::vector<index_t> select_real_rows(MatrixView<CT> acc, index_t real,
                                       index_t count) {
   std::vector<index_t> rows;
   rows.reserve(static_cast<std::size_t>(count));
@@ -64,7 +64,7 @@ std::vector<index_t> select_real_rows(const Matrix<CT>& acc, index_t real,
     double mass = 0.0;
     double total = 0.0;
     for (index_t c = 0; c < acc.cols(); ++c) {
-      const double v = static_cast<double>(acc(r, c));
+      const double v = static_cast<double>(acc.at(r, c));
       total += v * v;
       if (c < real) mass += v * v;
     }
@@ -293,25 +293,29 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   const index_t npad = col_layout.n;
   rep.padded_n = npad;
 
-  // Transposed factor accumulators in compute precision (U = ut^T), seeded
-  // with the identity. Stage 1 applies its tile reflectors to them through
-  // the same launch path as the trailing updates, Stage 2 mirrors its
-  // Givens rotations, Stage 3 accumulates its rotations (QR iteration) or
-  // composes its coefficient matrices (divide-and-conquer) and sorts rows
-  // with the values. Both accumulators are n_pad-sized: a tall input's
-  // left factor lives in the R problem's coordinates and is lifted to the
-  // full m rows afterwards by the blocked reflector replay.
-  Matrix<CT> ut_acc;
-  Matrix<CT> vt_acc;
+  // Factor accumulators in compute precision, seeded with the identity.
+  // The buffers hold U and V column-major — each singular vector
+  // contiguous — and every stage sees the transposed factors through the
+  // lazy-transpose views ut = U^T, vt = V^T (rows = singular vectors), so
+  // the Stage-2/3 row rotations walk unit-stride memory. Stage 1 applies
+  // its tile reflectors to them through the same launch path as the
+  // trailing updates, Stage 2 mirrors its Givens rotations, Stage 3
+  // accumulates its rotations (QR iteration) or composes its coefficient
+  // matrices (divide-and-conquer) and sorts rows with the values. Both
+  // accumulators are n_pad-sized: a tall input's left factor lives in the
+  // R problem's coordinates and is lifted to the full m rows afterwards by
+  // the blocked reflector replay.
+  Matrix<CT> u_acc;
+  Matrix<CT> v_acc;
   MatrixView<CT> ut_view;
   MatrixView<CT> vt_view;
   MatrixView<CT>* ut_ptr = nullptr;
   MatrixView<CT>* vt_ptr = nullptr;
   if (want_vectors) {
-    ut_acc = identity<CT>(npad);
-    vt_acc = identity<CT>(npad);
-    ut_view = ut_acc.view();
-    vt_view = vt_acc.view();
+    u_acc = identity<CT>(npad);
+    v_acc = identity<CT>(npad);
+    ut_view = u_acc.view().transposed();
+    vt_view = v_acc.view().transposed();
     ut_ptr = &ut_view;
     vt_ptr = &vt_view;
   }
@@ -380,13 +384,8 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   std::vector<CT> d;
   std::vector<CT> e;
   double acc2 = 0.0;
-  band::Stage2Options<CT> s2;
-  s2.ut = ut_ptr;
-  s2.vt = vt_ptr;
-  s2.acc_seconds = want_vectors ? &acc2 : nullptr;
-  s2.backend = &backend;
-  s2.rot_batch = config.stage2_batch;
-  rep.chase_stats = band::band_to_bidiag(bandm, d, e, s2);
+  rep.chase_stats = band::band_to_bidiag(bandm, d, e, ut_ptr, vt_ptr,
+                                         want_vectors ? &acc2 : nullptr);
   rep.stage_times.add(ka::Stage::BandToBidiagonal, seconds_since(t0) - acc2);
   rep.stage_times.add(ka::Stage::VectorAccumulation, acc2);
 
@@ -451,8 +450,8 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
       // R-projected) square problem, so the real coordinate range is n
       // for each; a tall input's remaining m - n Full completions come
       // from Q's completion columns in the blocked replay below.
-      usel = select_real_rows(ut_acc, n, n);
-      vsel = select_real_rows(vt_acc, n, n);
+      usel = select_real_rows(ut_view, n, n);
+      vsel = select_real_rows(vt_view, n, n);
     } else {
       usel.resize(static_cast<std::size_t>(k));
       vsel.resize(static_cast<std::size_t>(k));
@@ -471,7 +470,7 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
       const auto seed = [&](Matrix<CT>& comp, index_t lj, index_t gj) {
         const index_t src = usel[static_cast<std::size_t>(gj)];
         for (index_t i = 0; i < npad; ++i) {
-          comp(i, lj) = ut_acc(src, i);
+          comp(i, lj) = ut_view.at(src, i);
         }
       };
       t0 = std::chrono::steady_clock::now();
@@ -481,7 +480,7 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
         for (index_t j = 0; j < n; ++j) {
           for (index_t i = 0; i < rep.vt.rows(); ++i) {
             rep.vt(i, j) = static_cast<double>(
-                vt_acc(vsel[static_cast<std::size_t>(i)], j));
+                vt_view.at(vsel[static_cast<std::size_t>(i)], j));
           }
         }
       } else {
@@ -489,7 +488,7 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
         for (index_t j = 0; j < rep.u.cols(); ++j) {
           const index_t src = vsel[static_cast<std::size_t>(j)];
           for (index_t i = 0; i < n; ++i) {
-            rep.u(i, j) = static_cast<double>(vt_acc(src, i));
+            rep.u(i, j) = static_cast<double>(vt_view.at(src, i));
           }
         }
         rep.vt = Matrix<double>(ucols, m);
@@ -505,14 +504,14 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
       for (index_t j = 0; j < rep.u.cols(); ++j) {
         const index_t src = usel[static_cast<std::size_t>(j)];
         for (index_t i = 0; i < m; ++i) {
-          rep.u(i, j) = static_cast<double>(ut_acc(src, i));
+          rep.u(i, j) = static_cast<double>(ut_view.at(src, i));
         }
       }
       rep.vt = Matrix<double>(static_cast<index_t>(vsel.size()), n);
       for (index_t j = 0; j < n; ++j) {
         for (index_t i = 0; i < rep.vt.rows(); ++i) {
-          rep.vt(i, j) =
-              static_cast<double>(vt_acc(vsel[static_cast<std::size_t>(i)], j));
+          rep.vt(i, j) = static_cast<double>(
+              vt_view.at(vsel[static_cast<std::size_t>(i)], j));
         }
       }
     } else {
@@ -520,14 +519,14 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
       for (index_t j = 0; j < rep.u.cols(); ++j) {
         const index_t src = vsel[static_cast<std::size_t>(j)];
         for (index_t i = 0; i < n; ++i) {
-          rep.u(i, j) = static_cast<double>(vt_acc(src, i));
+          rep.u(i, j) = static_cast<double>(vt_view.at(src, i));
         }
       }
       rep.vt = Matrix<double>(static_cast<index_t>(usel.size()), m);
       for (index_t j = 0; j < m; ++j) {
         for (index_t i = 0; i < rep.vt.rows(); ++i) {
-          rep.vt(i, j) =
-              static_cast<double>(ut_acc(usel[static_cast<std::size_t>(i)], j));
+          rep.vt(i, j) = static_cast<double>(
+              ut_view.at(usel[static_cast<std::size_t>(i)], j));
         }
       }
     }

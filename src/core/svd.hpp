@@ -134,12 +134,6 @@ struct SvdConfig {
   /// core::learn_stage3_crossover measures and persists the real one per
   /// backend/precision.
   index_t dc_crossover = 384;
-  /// Stage-2 rotation-batch capacity: bulge-chase mirror rotations buffer
-  /// up to this many entries and replay per accumulator column tile in one
-  /// cache-resident pass (band/rot_batch.hpp) — bit-identical to the eager
-  /// path. 0 restores eager per-rotation mirroring. Values-only solves
-  /// never mirror, so the knob is inert for them.
-  index_t stage2_batch = 4096;
 
   void validate() const {
     kernels.validate();
@@ -152,9 +146,6 @@ struct SvdConfig {
     UNISVD_REQUIRE(dc_crossover >= 0,
                    "SvdConfig: dc_crossover must be >= 0 (0 sends every "
                    "Auto-mode vector solve to divide-and-conquer)");
-    UNISVD_REQUIRE(stage2_batch >= 0,
-                   "SvdConfig: stage2_batch must be >= 0 (0 disables "
-                   "Stage-2 rotation batching)");
   }
 };
 

@@ -400,27 +400,41 @@ Factor solve_recursive(const double* d, const double* e, index_t n,
 
 /// acc[0..n-1, :] <- F[0..n-1, 0..n-1] * acc[0..n-1, :], accumulating in
 /// double and narrowing once per element. Column blocks are independent,
-/// so the pool parallelizes across them with one n-row scratch each.
+/// so the pool parallelizes across them. Within a block, each column of F
+/// is applied to kPass accumulator columns at once (their weights
+/// acc(j, col..col+kPass) are adjacent in the vector-contiguous layout), so
+/// F streams through cache once per kPass columns instead of once per
+/// column. Every element still sums its j terms in ascending order with
+/// the same zero-weight skips, so the result is bit-identical to the
+/// column-at-a-time loop.
 template <class CT>
 void compose_onto(ka::ThreadPool* pool, const Matrix<double>& f, index_t n,
                   MatrixView<CT> acc) {
   const index_t cols = acc.cols();
   constexpr index_t kColBlock = 32;
+  constexpr index_t kPass = 8;
   const index_t nblocks = (cols + kColBlock - 1) / kColBlock;
   pfor(pool, nblocks, [&](index_t blk) {
     const index_t cbeg = blk * kColBlock;
     const index_t cend = std::min(cols, cbeg + kColBlock);
-    std::vector<double> tmp(static_cast<std::size_t>(n));
-    for (index_t col = cbeg; col < cend; ++col) {
+    std::vector<double> tmp(static_cast<std::size_t>(kPass * n));
+    for (index_t c0 = cbeg; c0 < cend; c0 += kPass) {
+      const index_t w = std::min(kPass, cend - c0);
       std::fill(tmp.begin(), tmp.end(), 0.0);
       for (index_t j = 0; j < n; ++j) {
-        const double w = static_cast<double>(acc.at(j, col));
-        if (w == 0.0) continue;
         const double* fj = &f(0, j);
-        for (index_t r = 0; r < n; ++r) tmp[static_cast<std::size_t>(r)] += fj[r] * w;
+        for (index_t c = 0; c < w; ++c) {
+          const double wt = static_cast<double>(acc.at(j, c0 + c));
+          if (wt == 0.0) continue;
+          double* t = &tmp[static_cast<std::size_t>(c * n)];
+          for (index_t r = 0; r < n; ++r) t[r] += fj[r] * wt;
+        }
       }
       for (index_t r = 0; r < n; ++r) {
-        acc.at(r, col) = static_cast<CT>(tmp[static_cast<std::size_t>(r)]);
+        for (index_t c = 0; c < w; ++c) {
+          acc.at(r, c0 + c) =
+              static_cast<CT>(tmp[static_cast<std::size_t>(c * n + r)]);
+        }
       }
     }
   });

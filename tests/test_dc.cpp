@@ -9,15 +9,20 @@
 ///     across FP16/FP32/FP64 x square/tall/wide, full accuracy gates on
 ///     composed factors, bit-identity of the ValuesOnly path when QR is
 ///     forced, batched + truncated dispatch;
-///   * Stage-2 rotation batching: blocked accumulator replay is
-///     bit-identical to the eager path for every capacity.
+///   * accumulator layout parity: band_reduction, band_to_bidiag,
+///     bidiag_svd_qr_vectors (rescue sink included) and bidiag_svd_dc give
+///     bitwise-equal logical factors on vector-contiguous (transposed) and
+///     row-strided accumulator views; every vector route of the driver
+///     meets the accuracy gates on the vector-contiguous layout.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "band/band_matrix.hpp"
@@ -30,7 +35,9 @@
 #include "dc/dc_svd.hpp"
 #include "ka/backend.hpp"
 #include "ka/thread_pool.hpp"
+#include "qr/band_reduction.hpp"
 #include "rand/rng.hpp"
+#include "tile/tile_layout.hpp"
 #include "test_util.hpp"
 
 using namespace unisvd;
@@ -455,94 +462,244 @@ TEST(DcDriver, TunerLearnsAndPersistsCrossover) {
 }
 
 // ---------------------------------------------------------------------------
-// Stage-2 rotation batching: blocked replay == eager mirror, bitwise
+// Accumulator layout parity: every stage yields the same logical factor
+// bits on vector-contiguous (transposed) and row-strided (plain) views
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Random dense n x n matrix with entries only in the upper band [0, bw].
-Matrix<double> random_banded(index_t n, index_t bw, std::uint64_t seed) {
+/// Random dense n x n matrix with entries only in the upper band [0, bw]
+/// of its leading `real` x `real` block; the rest is zero padding (which
+/// produces identity rotations that skip the accumulators).
+template <class T>
+Matrix<T> random_banded(index_t n, index_t bw, std::uint64_t seed,
+                        index_t real = -1) {
+  if (real < 0) real = n;
   rnd::Xoshiro256 rng(seed);
-  Matrix<double> a(n, n, 0.0);
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      const index_t diag = j - i;
-      if (diag >= 0 && diag <= bw) a(i, j) = rng.normal();
+  Matrix<T> a(n, n, T(0));
+  for (index_t j = 0; j < real; ++j) {
+    for (index_t i = std::max<index_t>(0, j - bw); i <= j; ++i) {
+      a(i, j) = static_cast<T>(rng.normal());
     }
   }
   return a;
 }
 
-}  // namespace
+/// A pair of identity-seeded n x n accumulators: `plain` is the row-strided
+/// ut itself, `vec` stores U so `vec.transposed()` is the same logical ut.
+template <class T>
+struct LayoutPair {
+  Matrix<T> plain;
+  Matrix<T> vec;
+  explicit LayoutPair(index_t n) : plain(n, n, T(0)), vec(n, n, T(0)) {
+    for (index_t i = 0; i < n; ++i) plain(i, i) = vec(i, i) = T(1);
+  }
+  MatrixView<T> plain_view() { return plain.view(); }
+  MatrixView<T> vec_view() { return vec.transposed(); }
+};
 
-TEST(Stage2Batch, BlockedReplayBitIdenticalToEagerForEveryCapacity) {
-  // The tentpole's correctness anchor: rotations touch each accumulator
-  // column independently and the batch replays them per column in original
-  // order with the same narrowed expression, so the cache-blocked replay
-  // is BIT-identical to the historic eager mirror — whatever the capacity
-  // (including capacity 1, which flushes every rotation).
-  const index_t n = 64;
-  const index_t bw = 8;
-  const Matrix<double> dense = random_banded(n, bw, 401);
-  ka::CpuBackend backend(4);
-
-  // Eager baseline: the historic signature (no backend, no batching).
-  auto b_eager = band::extract_band<double>(dense.view(), bw);
-  Matrix<double> ut_e(n, n, 0.0), vt_e(n, n, 0.0);
-  for (index_t i = 0; i < n; ++i) ut_e(i, i) = vt_e(i, i) = 1.0;
-  MatrixView<double> ut_ev = ut_e.view(), vt_ev = vt_e.view();
-  std::vector<double> d_e, e_e;
-  const auto stats_e = band::band_to_bidiag(b_eager, d_e, e_e, &ut_ev, &vt_ev);
-  EXPECT_EQ(stats_e.batch_flushes, 0.0);
-
-  for (const index_t capacity : {index_t{1}, index_t{3}, index_t{64},
-                                 index_t{1} << 20}) {
-    auto b = band::extract_band<double>(dense.view(), bw);
-    Matrix<double> ut(n, n, 0.0), vt(n, n, 0.0);
-    for (index_t i = 0; i < n; ++i) ut(i, i) = vt(i, i) = 1.0;
-    MatrixView<double> utv = ut.view(), vtv = vt.view();
-    std::vector<double> d, e;
-    band::Stage2Options<double> opts;
-    opts.ut = &utv;
-    opts.vt = &vtv;
-    opts.backend = &backend;
-    opts.rot_batch = capacity;
-    const auto stats = band::band_to_bidiag(b, d, e, opts);
-    EXPECT_GT(stats.batch_flushes, 0.0) << "capacity " << capacity;
-
-    ASSERT_EQ(d.size(), d_e.size()) << "capacity " << capacity;
-    ASSERT_EQ(e.size(), e_e.size()) << "capacity " << capacity;
-    for (std::size_t i = 0; i < d.size(); ++i) {
-      EXPECT_EQ(d[i], d_e[i]) << "capacity " << capacity << " d " << i;
+/// Count logical elements whose bit patterns differ.
+template <class T>
+index_t bit_mismatches(MatrixView<T> a, MatrixView<T> b) {
+  EXPECT_EQ(a.rows(), b.rows());
+  EXPECT_EQ(a.cols(), b.cols());
+  index_t bad = 0;
+  for (index_t j = 0; j < a.cols(); ++j) {
+    for (index_t i = 0; i < a.rows(); ++i) {
+      if (std::memcmp(&a.at(i, j), &b.at(i, j), sizeof(T)) != 0) ++bad;
     }
-    for (std::size_t i = 0; i < e.size(); ++i) {
-      EXPECT_EQ(e[i], e_e[i]) << "capacity " << capacity << " e " << i;
-    }
-    EXPECT_EQ(ref::fro_diff(ut.view(), ut_e.view()), 0.0)
-        << "capacity " << capacity;
-    EXPECT_EQ(ref::fro_diff(vt.view(), vt_e.view()), 0.0)
-        << "capacity " << capacity;
+  }
+  return bad;
+}
+
+template <class T>
+void expect_same_bits(const std::vector<T>& a, const std::vector<T>& b,
+                      const std::string& tag) {
+  ASSERT_EQ(a.size(), b.size()) << tag;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&a[i], &b[i], sizeof(T)), 0) << tag << " at " << i;
   }
 }
 
-TEST(Stage2Batch, DriverEndToEndMatchesUnbatchedBitwise) {
-  // Through the full driver: stage2_batch = 0 (eager) and the default
-  // batched path produce identical factor bits — the blocked replay is
-  // invisible to results, visible only to the cache.
-  const Matrix<float> a =
-      testutil::convert<float>(testutil::random_matrix(48, 48, 402));
-  SvdConfig eager = driver_config(Stage3Solver::QR);
-  eager.stage2_batch = 0;
-  SvdConfig batched = driver_config(Stage3Solver::QR);
-  batched.stage2_batch = 4096;
-  const auto r1 = svd_values_report<float>(a.view(), eager);
-  const auto r2 = svd_values_report<float>(a.view(), batched);
-  ASSERT_EQ(r1.values.size(), r2.values.size());
-  for (std::size_t i = 0; i < r1.values.size(); ++i) {
-    EXPECT_EQ(r1.values[i], r2.values[i]) << i;
+/// Reduced bidiagonal (d, e) of a padded random band, for the Stage-3
+/// parity checks: real extent `real` embedded in n with zero padding.
+template <class T>
+void padded_bidiagonal(index_t n, index_t real, std::uint64_t seed,
+                       std::vector<T>& d, std::vector<T>& e) {
+  const Matrix<T> dense = random_banded<T>(n, 4, seed, real);
+  auto b = band::extract_band<T>(dense.view(), 4);
+  band::band_to_bidiag(b, d, e);
+}
+
+}  // namespace
+
+template <class T>
+class LayoutParityTyped : public ::testing::Test {};
+using LayoutComputeTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(LayoutParityTyped, LayoutComputeTypes);
+
+TYPED_TEST(LayoutParityTyped, BandReduction) {
+  // Stage 1 applies its reflectors through MatrixView::at, so either
+  // orientation computes every element with the same expression.
+  using T = TypeParam;
+  for (const index_t real : {index_t{32}, index_t{21}}) {  // 21: padded to 24
+    const index_t n = tile::TileLayout::make(real, 8).n;
+    const std::string tag = "n=" + std::to_string(real);
+    qr::KernelConfig cfg;
+    cfg.tilesize = 8;
+    cfg.colperblock = 8;
+    Matrix<T> a = testutil::convert<T>(testutil::random_matrix(n, n, 900 + real));
+    for (index_t j = real; j < n; ++j) {
+      for (index_t i = 0; i < n; ++i) a(i, j) = a(j, i) = T(0);
+    }
+    Matrix<T> a2 = a;
+    Matrix<T> tau(n / 8, 8, T(0));
+    Matrix<T> tau2(n / 8, 8, T(0));
+    LayoutPair<T> u(n), v(n);
+    MatrixView<T> up = u.plain_view(), vp = v.plain_view();
+    MatrixView<T> uv = u.vec_view(), vv = v.vec_view();
+    ka::SerialBackend be;
+    qr::band_reduction<T>(be, a.view(), tau.view(), cfg, nullptr, &up, &vp);
+    qr::band_reduction<T>(be, a2.view(), tau2.view(), cfg, nullptr, &uv, &vv);
+    EXPECT_EQ(bit_mismatches(a.view(), a2.view()), 0) << tag << " band";
+    EXPECT_EQ(bit_mismatches(up, uv), 0) << tag << " ut";
+    EXPECT_EQ(bit_mismatches(vp, vv), 0) << tag << " vt";
   }
-  EXPECT_EQ(ref::fro_diff(r1.u.view(), r2.u.view()), 0.0);
-  EXPECT_EQ(ref::fro_diff(r1.vt.view(), r2.vt.view()), 0.0);
-  EXPECT_EQ(r2.chase_stats.batch_flushes > 0.0, true);
-  EXPECT_EQ(r1.chase_stats.batch_flushes, 0.0);
+}
+
+TYPED_TEST(LayoutParityTyped, BandToBidiag) {
+  using T = TypeParam;
+  for (const index_t real : {index_t{64}, index_t{45}}) {  // 45: padded band
+    const index_t n = 48 + (real == 64 ? 16 : 0);
+    const std::string tag = "n=" + std::to_string(real);
+    const Matrix<T> dense = random_banded<T>(n, 8, 910 + real, real);
+    auto b1 = band::extract_band<T>(dense.view(), 8);
+    auto b2 = band::extract_band<T>(dense.view(), 8);
+    LayoutPair<T> u(n), v(n);
+    MatrixView<T> up = u.plain_view(), vp = v.plain_view();
+    MatrixView<T> uv = u.vec_view(), vv = v.vec_view();
+    std::vector<T> d1, e1, d2, e2;
+    double acc = 0.0;
+    const auto st1 = band::band_to_bidiag(b1, d1, e1, &up, &vp);
+    const auto st2 = band::band_to_bidiag(b2, d2, e2, &uv, &vv, &acc);
+    EXPECT_EQ(st1.rotations, st2.rotations) << tag;
+    EXPECT_EQ(st2.batch_flushes, 0.0) << tag;  // eager mirror: no replays
+    expect_same_bits(d1, d2, tag + " d");
+    expect_same_bits(e1, e2, tag + " e");
+    EXPECT_EQ(bit_mismatches(up, uv), 0) << tag << " ut";
+    EXPECT_EQ(bit_mismatches(vp, vv), 0) << tag << " vt";
+    if (real < n) {
+      // The padding's identity rotations never touched the padded rows.
+      for (index_t r = real; r < n; ++r) {
+        for (index_t c = 0; c < n; ++c) {
+          EXPECT_EQ(uv.at(r, c), r == c ? T(1) : T(0)) << tag;
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(LayoutParityTyped, BidiagQrVectors) {
+  using T = TypeParam;
+  for (const index_t real : {index_t{40}, index_t{29}}) {
+    const index_t n = 40;
+    const std::string tag = "n=" + std::to_string(real);
+    std::vector<T> d, e;
+    padded_bidiagonal<T>(n, real, 920 + real, d, e);
+    LayoutPair<T> u(n), v(n);
+    double acc = 0.0;
+    const auto s1 = bidiag::bidiag_svd_qr_vectors(d, e, u.plain_view(), v.plain_view());
+    const auto s2 =
+        bidiag::bidiag_svd_qr_vectors(d, e, u.vec_view(), v.vec_view(), &acc);
+    expect_same_bits(s1, s2, tag + " values");
+    EXPECT_EQ(bit_mismatches(u.plain_view(), u.vec_view()), 0) << tag << " ut";
+    EXPECT_EQ(bit_mismatches(v.plain_view(), v.vec_view()), 0) << tag << " vt";
+  }
+}
+
+TYPED_TEST(LayoutParityTyped, BidiagQrRescueSink) {
+  // max_sweeps == 1 sends every block through the double-precision rescue
+  // (rotations arrive as double and are narrowed to T); the zero coupling
+  // makes the second block rescue through OffsetRotationSink (l > 0).
+  using T = TypeParam;
+  const std::vector<T> d0{T(2), T(1), T(-3), T(0.5), T(4), T(-0.25), T(1.5)};
+  const std::vector<T> e0{T(0.5), T(-0.75), T(0.25), T(0), T(1), T(0.5)};
+  const index_t n = static_cast<index_t>(d0.size());
+  const auto run = [&](MatrixView<T> ut, MatrixView<T> vt) {
+    std::vector<T> w = d0;
+    std::vector<T> rv1(d0.size(), T(0));
+    for (std::size_t i = 1; i < d0.size(); ++i) rv1[i] = e0[i - 1];
+    bidiag::detail::MatrixRotationSink<T> sink(ut, vt);
+    bidiag::detail::golub_reinsch_iterate(w, rv1, sink, 1);
+    return w;
+  };
+  LayoutPair<T> u(n), v(n);
+  const auto w1 = run(u.plain_view(), v.plain_view());
+  const auto w2 = run(u.vec_view(), v.vec_view());
+  expect_same_bits(w1, w2, "rescue values");
+  EXPECT_EQ(bit_mismatches(u.plain_view(), u.vec_view()), 0) << "ut";
+  EXPECT_EQ(bit_mismatches(v.plain_view(), v.vec_view()), 0) << "vt";
+  // The rescue really rotated the accumulators away from the identity.
+  EXPECT_NE(u.plain(0, 0), T(1));
+}
+
+TYPED_TEST(LayoutParityTyped, BidiagSvdDc) {
+  using T = TypeParam;
+  for (const index_t real : {index_t{72}, index_t{61}}) {
+    const index_t n = 72;
+    const std::string tag = "n=" + std::to_string(real);
+    std::vector<T> d, e;
+    padded_bidiagonal<T>(n, real, 930 + real, d, e);
+    LayoutPair<T> u(n), v(n);
+    MatrixView<T> up = u.plain_view(), vp = v.plain_view();
+    MatrixView<T> uv = u.vec_view(), vv = v.vec_view();
+    dc::DcOptions opts;
+    opts.qr_tail = 8;
+    const auto s1 = dc::bidiag_svd_dc<T>(d, e, &up, &vp, opts);
+    double acc = 0.0;
+    opts.acc_seconds = &acc;
+    const auto s2 = dc::bidiag_svd_dc<T>(d, e, &uv, &vv, opts);
+    expect_same_bits(s1, s2, tag + " values");
+    EXPECT_EQ(bit_mismatches(up, uv), 0) << tag << " ut";
+    EXPECT_EQ(bit_mismatches(vp, vv), 0) << tag << " vt";
+  }
+}
+
+template <class T>
+class LayoutDriverTyped : public ::testing::Test {};
+TYPED_TEST_SUITE(LayoutDriverTyped, DcStorageTypes);
+
+TYPED_TEST(LayoutDriverTyped, ThinAndFullMeetGatesOnEveryVectorRoute) {
+  // The vector-contiguous accumulators feed every pipeline route: square,
+  // tall below the QR-first aspect (generic tall route), QR-first, and
+  // wide (factor roles swapped). Both Stage-3 engines, both vector jobs.
+  using T = TypeParam;
+  const struct { index_t m, n; std::uint64_t seed; } shapes[] = {
+      {45, 45, 940}, {60, 44, 941}, {96, 36, 942}, {36, 53, 943}};
+  for (const auto& sh : shapes) {
+    const Matrix<T> a =
+        testutil::convert<T>(testutil::random_matrix(sh.m, sh.n, sh.seed));
+    for (const SvdJob job : {SvdJob::Thin, SvdJob::Full}) {
+      for (const Stage3Solver solver :
+           {Stage3Solver::QR, Stage3Solver::DivideConquer}) {
+        const std::string tag = std::to_string(sh.m) + "x" + std::to_string(sh.n) +
+                                " " + to_string(job) +
+                                (solver == Stage3Solver::QR ? " qr" : " dc");
+        const auto rep = svd_report<T>(a.view(), driver_config(solver, job));
+        ASSERT_EQ(rep.status, SvdStatus::Ok) << tag;
+        EXPECT_EQ(rep.qr_first, std::max(sh.m, sh.n) >= 1.6 * std::min(sh.m, sh.n))
+            << tag;
+        const index_t k = std::min(sh.m, sh.n);
+        EXPECT_EQ(rep.u.rows(), sh.m) << tag;
+        EXPECT_EQ(rep.u.cols(), job == SvdJob::Full ? sh.m : k) << tag;
+        EXPECT_EQ(rep.vt.rows(), job == SvdJob::Full ? sh.n : k) << tag;
+        EXPECT_EQ(rep.vt.cols(), sh.n) << tag;
+        const double tol = driver_tol<T>(sh.m, sh.n);
+        EXPECT_LE(report_residual(a.view(), rep), tol) << tag;
+        EXPECT_LE(ref::orthogonality_defect(rep.u.view()), tol) << tag;
+        EXPECT_LE(ref::orthogonality_defect(rep.vt.view().transposed()), tol)
+            << tag;
+      }
+    }
+  }
 }

@@ -23,7 +23,10 @@ Rules (see docs/STATIC_ANALYSIS.md for the full catalog and rationale):
   bench-exit-gate  Every bench/*.cpp that mentions a gate must enforce it
                    through the process exit code (EXIT_FAILURE, return 1,
                    a failures counter, or a "cond ? 0 : 1" main return) —
-                   a gate that only prints cannot fail CI.
+                   a gate that only prints cannot fail CI. An exit whose
+                   only condition is a sink flush ("return sink.flush() ?
+                   0 : 1", "if (!sink.flush()) return 1") does not count:
+                   it fails on I/O errors, never on the gated number.
   half-narrowing   No Half construction through a float intermediate
                    (Half(static_cast<float>(d)), Half(float(d)), ...):
                    double -> float -> half rounds twice; Half(double) and
@@ -364,6 +367,34 @@ EXIT_IDIOMS = [
 ]
 
 
+# A condition made of nothing but one flush() call (optionally negated or
+# parenthesized): the exit it guards reports I/O, not a gated measurement.
+FLUSH_ONLY_RE = re.compile(r"^[\s!()]*[\w.:>\[\]-]+\s*(\.|->)\s*flush\s*\(\s*\)[\s()]*$")
+
+
+def _exit_condition(stmt: str) -> str | None:
+    """The condition guarding an exit statement: the ternary's test of a
+    `return cond ? ...`, or the test of an `if (cond) return ...`; None for
+    an unconditional exit."""
+    m = re.search(r"\breturn\b(.*)\?", stmt, re.S)
+    if m:
+        return m.group(1)
+    m = re.search(r"\bif\s*\((.*)\)", stmt, re.S)
+    return m.group(1) if m else None
+
+
+def has_exit_gate(text: str) -> bool:
+    for rx in EXIT_IDIOMS:
+        for m in rx.finditer(text):
+            start = max(text.rfind(c, 0, m.start()) for c in ";{}") + 1
+            end = text.find(";", m.end() - 1)
+            stmt = text[start : len(text) if end < 0 else end + 1]
+            cond = _exit_condition(stmt)
+            if cond is None or not FLUSH_ONLY_RE.match(cond):
+                return True
+    return False
+
+
 def check_bench_exit_gate(root: Path) -> list[Finding]:
     findings: list[Finding] = []
     bench = root / "bench"
@@ -380,7 +411,7 @@ def check_bench_exit_gate(root: Path) -> list[Finding]:
         )
         if gate_line in allowed:
             continue
-        if not any(rx.search(text) for rx in EXIT_IDIOMS):
+        if not has_exit_gate(text):
             findings.append(
                 Finding(
                     path.relative_to(root),
@@ -592,8 +623,35 @@ def self_test() -> int:
             "int main() { bool gate_ok = true; return gate_ok ? 0 : 1; }\n",
         )
         _write(root, "bench/no_gate.cpp", "int main() { return 0; }\n")
+        _write(
+            root,
+            "bench/flush_gate.cpp",
+            "#include <cstdio>\nstruct Sink { bool flush() { return true; } };\n"
+            'int main() { Sink sink; std::printf("gate: >= 3x\\n");\n'
+            "  return sink.flush() ? 0 : 1; }\n",
+        )
+        _write(
+            root,
+            "bench/flush_if_gate.cpp",
+            "#include <cstdio>\nstruct Sink { bool flush() { return true; } };\n"
+            'int main() { Sink sink; std::printf("gate: >= 3x\\n");\n'
+            "  if (!sink.flush()) return 1;\n  return 0; }\n",
+        )
+        _write(
+            root,
+            "bench/flush_and_gate.cpp",
+            "struct Sink { bool flush() { return true; } };\n"
+            "int main() { Sink sink; bool gate_ok = true;\n"
+            "  return (gate_ok && sink.flush()) ? 0 : 1; }\n",
+        )
         f = check_bench_exit_gate(root)
         expect(any("bad_gate.cpp" in str(x.path) for x in f), "bench-exit-gate: print-only gate must trip")
+        expect(any("flush_gate.cpp" in str(x.path) for x in f),
+               "bench-exit-gate: a flush-only ternary exit must trip")
+        expect(any("flush_if_gate.cpp" in str(x.path) for x in f),
+               "bench-exit-gate: a flush-only if-return exit must trip")
+        expect(not any("flush_and_gate.cpp" in str(x.path) for x in f),
+               "bench-exit-gate: a gate ANDed with the flush must pass")
         expect(not any("good_gate.cpp" in str(x.path) for x in f), "bench-exit-gate: exit-coded gate must pass")
         expect(not any("no_gate.cpp" in str(x.path) for x in f), "bench-exit-gate: gateless bench exempt")
 

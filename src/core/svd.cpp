@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "band/band_matrix.hpp"
@@ -144,101 +145,26 @@ void compose_left_blocked(ka::Backend& backend, MatrixView<T> panel,
   }
 }
 
-/// The QR-first tall path (vector jobs, aspect >= SvdConfig::
-/// qr_first_aspect). Instead of threading an m_pad x m_pad left accumulator
-/// through Stages 1-3, factor the tall orientation A/scale = Q R with the
-/// REPLAYABLE tall-panel QR (every sweep's tau block retained), solve the
-/// small n x n R factor by the ordinary square pipeline — whose band is
-/// bit-identical to the generic tall path's, so the singular values are too
-/// — and compose U = Q * U_R by replaying the reflectors backward onto an
-/// m_pad x n_pad target (panel_apply_q). Peak left-side memory drops from
-/// O(m_pad^2) to O(m_pad * n_pad): the panel, its tau blocks, and the
-/// composition target are the only m_pad-row buffers.
-///
-/// `at` is the tall orientation (rows >= cols); `wide` records whether the
-/// caller's input was transposed into it, so the factors swap back at
-/// extraction exactly as in the generic path.
-template <class T>
-SvdReport qr_first_solve(ConstMatrixView<T> at, bool wide,
-                         const SvdConfig& config, ka::Backend& backend) {
-  using CT = compute_t<T>;
-  const index_t m = at.rows();
-  const index_t n = at.cols();
-
-  SvdReport rep;
-  rep.qr_first = true;
-  if (config.auto_scale) {
-    rep.scale_factor = ref::auto_scale_divisor(at);
-  }
-
-  const int ts = config.kernels.tilesize;
-  const index_t npad = tile::TileLayout::make(n, ts).n;
-  const index_t mpad = tile::TileLayout::make(m, ts).n;
-  rep.padded_n = npad;
-
-  // Tall-panel QR with retained reflectors: A/scale = Q R, Q implicit.
-  Matrix<T> work(mpad, npad, T(0));
-  copy_scaled(at, work, rep.scale_factor);
-  Matrix<T> tau_all(qr::panel_tau_rows(mpad / ts, npad / ts), ts, T(0));
-  qr::panel_qr_factor<T>(backend, work.view(), tau_all.view(), config.kernels,
-                         &rep.stage_times);
-
-  // Solve R (n x n, upper triangular) by the square pipeline. The recursive
-  // call re-pads R to the same n_pad grid the generic path reduces, with
-  // identical padded entries (the panel's padded columns factor to exact
-  // zeros), so the values stay bit-identical across paths. R is square, so
-  // a Thin job already yields the complete n x n U_R — Full only changes
-  // the composition below.
-  Matrix<T> r(n, n, T(0));
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = 0; i <= j; ++i) {
-      r(i, j) = work(i, j);
-    }
-  }
-  SvdConfig inner = config;
-  inner.job = SvdJob::Thin;
-  inner.check_finite = false;  // validated by the caller
-  inner.auto_scale = false;    // the panel copy is already scaled
-  const SvdReport small = svd_values_report<T>(r.view(), inner, backend);
-  rep.stage_times += small.stage_times;
-  rep.chase_stats = small.chase_stats;
-  rep.stage3_dc = small.stage3_dc;
-  rep.values = small.values;
-  if (rep.scale_factor != 1.0) {
-    for (auto& v : rep.values) v *= rep.scale_factor;
-  }
-
-  // Compose U = Q * [U_R; 0] by blocked backward reflector replay (see
-  // compose_left_blocked): the Full job streams its completion columns in
-  // n_pad-wide slabs instead of materializing an m_pad x m_pad working
-  // set. In the tall orientation U = the composed columns and V^T = the
-  // small problem's V^T; a wide input swaps the factor roles
-  // (A = at^T  =>  A's U = V_t, A's V^T = U_t^T).
-  const bool full = config.job == SvdJob::Full;
-  const index_t ucols = full ? m : n;
-  const auto seed = [&](Matrix<CT>& comp, index_t lj, index_t gj) {
-    for (index_t i = 0; i < n; ++i) {
-      comp(i, lj) = static_cast<CT>(small.u(i, gj));
-    }
-  };
-  const auto t0 = std::chrono::steady_clock::now();
-  if (!wide) {
-    rep.u = Matrix<double>(m, ucols);
-    rep.vt = small.vt;
-  } else {
-    rep.u = Matrix<double>(n, small.vt.rows());
-    for (index_t j = 0; j < rep.u.cols(); ++j) {
-      for (index_t i = 0; i < n; ++i) {
-        rep.u(i, j) = small.vt(j, i);
+/// Rows `sel` of the accumulator view `acc`, columns [0, len), held in
+/// double: one row per selected vector, or one column per selected vector
+/// when `as_columns` is set.
+template <class CT>
+Matrix<double> gather_rows(MatrixView<CT> acc, const std::vector<index_t>& sel,
+                           index_t len, bool as_columns) {
+  const auto count = static_cast<index_t>(sel.size());
+  Matrix<double> out = as_columns ? Matrix<double>(len, count)
+                                  : Matrix<double>(count, len);
+  for (index_t r = 0; r < count; ++r) {
+    for (index_t c = 0; c < len; ++c) {
+      const double v = static_cast<double>(acc.at(sel[static_cast<std::size_t>(r)], c));
+      if (as_columns) {
+        out(c, r) = v;
+      } else {
+        out(r, c) = v;
       }
     }
-    rep.vt = Matrix<double>(ucols, m);
   }
-  rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));
-  compose_left_blocked<T, CT>(backend, work.view(), tau_all.view(),
-                              config.kernels, rep.stage_times, seed, m, n,
-                              full, wide ? rep.vt : rep.u, wide);
-  return rep;
+  return out;
 }
 
 }  // namespace
@@ -258,8 +184,8 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   // Fused tiny-problem path: min(m, n) at or below the tunable threshold
   // skips the whole tiled pipeline — one stack-resident Jacobi kernel
   // produces values and vectors with no padding and no per-stage launches.
-  // Shape-only and ahead of the QR-first test, so every job and every
-  // caller (direct, truncated-projected, batched) dispatches identically.
+  // Shape-only, so every job and every caller (direct, truncated-projected,
+  // batched) dispatches identically.
   if (smallsvd::small_svd_applicable(a.rows(), a.cols(),
                                      config.small_svd_threshold)) {
     return smallsvd::small_svd_solve<T>(a, config);
@@ -272,16 +198,6 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   const ConstMatrixView<T> at = wide ? a.transposed() : a;
   const index_t m = at.rows();
   const index_t n = at.cols();
-
-  // QR-first tall path: vector jobs whose aspect ratio clears the tunable
-  // threshold compose two factorizations (tall-panel QR, then the square
-  // pipeline on R) instead of accumulating through an m_pad^2 buffer.
-  // ValuesOnly keeps the historic path byte-for-byte; its values match the
-  // QR-first ones bit-for-bit anyway (tested).
-  if (want_vectors && m > n &&
-      static_cast<double>(m) >= config.qr_first_aspect * static_cast<double>(n)) {
-    return qr_first_solve<T>(at, wide, config, backend);
-  }
 
   SvdReport rep;
   if (config.auto_scale) {
@@ -325,22 +241,17 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   // the descending sort.
   Matrix<T> square(npad, npad, T(0));
 
-  // Retained tall-panel factorization (vector jobs on tall inputs): kept
-  // alive through the stages so the extraction epilogue can replay Q onto
-  // the solved left factor.
+  // The one tall route: factor A/scale = Q R with the replayable panel QR
+  // and hand R to the square pipeline. Vector jobs keep the panel and its
+  // tau blocks alive through the stages, so the extraction epilogue can
+  // lift U = Q * U_R by blocked backward replay — peak left-side memory is
+  // O(m_pad * n_pad), never O(m_pad^2). Values-only solves free both
+  // before Stage 1.
   Matrix<T> panel;
   Matrix<T> panel_tau;
-
   if (m == n) {
     copy_scaled(at, square, rep.scale_factor);
-  } else if (want_vectors) {
-    // Tall vector job below the QR-first aspect: factor A = Q R with the
-    // REPLAYABLE panel QR (same kernel arithmetic as tall_qr, so R — and
-    // therefore the values — is bit-identical to the historic path) and
-    // keep the reflectors. The stages then run with n_pad-sized
-    // accumulators and U is composed afterwards by blocked replay: peak
-    // left-side memory is O(m_pad * n_pad) instead of the m_pad^2
-    // accumulator the eager mirror needed.
+  } else {
     const auto row_layout = tile::TileLayout::make(m, ts);
     panel = Matrix<T>(row_layout.n, npad, T(0));
     copy_scaled(at, panel, rep.scale_factor);
@@ -353,19 +264,11 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
         square(i, j) = panel(i, j);
       }
     }
-  } else {
-    // Tall values-only: tiled QR first (same kernels), then reduce R; the
-    // reflectors are consumed immediately, nothing is retained.
-    const auto row_layout = tile::TileLayout::make(m, ts);
-    Matrix<T> work(row_layout.n, npad, T(0));
-    copy_scaled(at, work, rep.scale_factor);
-    Matrix<T> qr_tau(row_layout.ntiles, ts, T(0));
-    qr::tall_qr<T>(backend, work.view(), qr_tau.view(), config.kernels,
-                   &rep.stage_times, nullptr);
-    for (index_t j = 0; j < npad; ++j) {  // R = upper triangle
-      for (index_t i = 0; i <= j; ++i) {
-        square(i, j) = work(i, j);
-      }
+    if (want_vectors) {
+      rep.qr_first = true;
+    } else {
+      panel = Matrix<T>();
+      panel_tau = Matrix<T>();
     }
   }
 
@@ -433,105 +336,48 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   if (rep.scale_factor != 1.0) {
     for (auto& v : rep.values) v *= rep.scale_factor;
   }
+  if (!want_vectors) return rep;
 
-  if (want_vectors) {
-    // Compose and unpad the factors. In the tall orientation
-    // A = ut^T * diag(sigma) * vt over the padded space; the thin factors
-    // are the first k = n sigma-sorted rows, the Full completions are the
-    // remaining rows that live in the real (unpadded) coordinate range.
-    // A wide input swaps the roles (A = a^T's V becomes a's U and vice
-    // versa).
-    t0 = std::chrono::steady_clock::now();
-    const index_t k = n;  // min(m, n) in the tall orientation
-    std::vector<index_t> usel;
-    std::vector<index_t> vsel;
-    if (config.job == SvdJob::Full) {
-      // Both accumulators live in the n_pad space of the (possibly
-      // R-projected) square problem, so the real coordinate range is n
-      // for each; a tall input's remaining m - n Full completions come
-      // from Q's completion columns in the blocked replay below.
-      usel = select_real_rows(ut_view, n, n);
-      vsel = select_real_rows(vt_view, n, n);
-    } else {
-      usel.resize(static_cast<std::size_t>(k));
-      vsel.resize(static_cast<std::size_t>(k));
-      for (index_t i = 0; i < k; ++i) {
-        usel[static_cast<std::size_t>(i)] = i;
-        vsel[static_cast<std::size_t>(i)] = i;
-      }
-    }
-    if (panel.rows() > 0) {
-      // Tall input: lift the n_pad-space left factor to the full m rows
-      // by blocked reflector replay, U = Q * [U_R; completion]. The right
-      // factor unpads directly from its accumulator rows.
-      rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));
-      const bool full = config.job == SvdJob::Full;
-      const index_t ucols = full ? m : n;
-      const auto seed = [&](Matrix<CT>& comp, index_t lj, index_t gj) {
-        const index_t src = usel[static_cast<std::size_t>(gj)];
-        for (index_t i = 0; i < npad; ++i) {
-          comp(i, lj) = ut_view.at(src, i);
-        }
-      };
-      t0 = std::chrono::steady_clock::now();
-      if (!wide) {
-        rep.u = Matrix<double>(m, ucols);
-        rep.vt = Matrix<double>(static_cast<index_t>(vsel.size()), n);
-        for (index_t j = 0; j < n; ++j) {
-          for (index_t i = 0; i < rep.vt.rows(); ++i) {
-            rep.vt(i, j) = static_cast<double>(
-                vt_view.at(vsel[static_cast<std::size_t>(i)], j));
-          }
-        }
-      } else {
-        rep.u = Matrix<double>(n, static_cast<index_t>(vsel.size()));
-        for (index_t j = 0; j < rep.u.cols(); ++j) {
-          const index_t src = vsel[static_cast<std::size_t>(j)];
-          for (index_t i = 0; i < n; ++i) {
-            rep.u(i, j) = static_cast<double>(vt_view.at(src, i));
-          }
-        }
-        rep.vt = Matrix<double>(ucols, m);
-      }
-      rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));
-      compose_left_blocked<T, CT>(backend, panel.view(), panel_tau.view(),
-                                  config.kernels, rep.stage_times, seed, m, n,
-                                  full, wide ? rep.vt : rep.u, wide);
-      return rep;
-    }
-    if (!wide) {
-      rep.u = Matrix<double>(m, static_cast<index_t>(usel.size()));
-      for (index_t j = 0; j < rep.u.cols(); ++j) {
-        const index_t src = usel[static_cast<std::size_t>(j)];
-        for (index_t i = 0; i < m; ++i) {
-          rep.u(i, j) = static_cast<double>(ut_view.at(src, i));
-        }
-      }
-      rep.vt = Matrix<double>(static_cast<index_t>(vsel.size()), n);
-      for (index_t j = 0; j < n; ++j) {
-        for (index_t i = 0; i < rep.vt.rows(); ++i) {
-          rep.vt(i, j) = static_cast<double>(
-              vt_view.at(vsel[static_cast<std::size_t>(i)], j));
-        }
-      }
-    } else {
-      rep.u = Matrix<double>(n, static_cast<index_t>(vsel.size()));
-      for (index_t j = 0; j < rep.u.cols(); ++j) {
-        const index_t src = vsel[static_cast<std::size_t>(j)];
-        for (index_t i = 0; i < n; ++i) {
-          rep.u(i, j) = static_cast<double>(vt_view.at(src, i));
-        }
-      }
-      rep.vt = Matrix<double>(static_cast<index_t>(usel.size()), m);
-      for (index_t j = 0; j < m; ++j) {
-        for (index_t i = 0; i < rep.vt.rows(); ++i) {
-          rep.vt(i, j) = static_cast<double>(
-              ut_view.at(usel[static_cast<std::size_t>(i)], j));
-        }
-      }
-    }
-    rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));
+  // Extract and unpad the factors. In the tall orientation
+  // A = ut^T * diag(sigma) * vt over the padded space; the thin factors
+  // are the first n sigma-sorted rows. Both accumulators live in the n_pad
+  // space of the (possibly R-projected) square problem, so the Full
+  // completions are the remaining rows in the real coordinate range [0, n);
+  // a tall input's other m - n Full completions come from Q's completion
+  // columns in the blocked replay. A wide input swaps the roles (a^T's V
+  // is a's U and vice versa).
+  t0 = std::chrono::steady_clock::now();
+  const bool full = config.job == SvdJob::Full;
+  std::vector<index_t> usel(static_cast<std::size_t>(n));
+  std::iota(usel.begin(), usel.end(), index_t{0});
+  std::vector<index_t> vsel = usel;
+  if (full) {
+    usel = select_real_rows(ut_view, n, n);
+    vsel = select_real_rows(vt_view, n, n);
   }
+  // The right factor unpads directly from its accumulator rows.
+  (wide ? rep.u : rep.vt) = gather_rows(vt_view, vsel, n, wide);
+  if (!rep.qr_first) {
+    // Square input (never wide): U unpads the same way.
+    rep.u = gather_rows(ut_view, usel, m, true);
+    rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));
+    return rep;
+  }
+  // Tall input: lift the n_pad-space left factor to the full m rows by
+  // blocked reflector replay, U = Q * [U_R; completion].
+  const index_t ucols = full ? m : n;
+  (wide ? rep.vt : rep.u) =
+      wide ? Matrix<double>(ucols, m) : Matrix<double>(m, ucols);
+  rep.stage_times.add(ka::Stage::VectorAccumulation, seconds_since(t0));
+  const auto seed = [&](Matrix<CT>& comp, index_t lj, index_t gj) {
+    const index_t src = usel[static_cast<std::size_t>(gj)];
+    for (index_t i = 0; i < npad; ++i) {
+      comp(i, lj) = ut_view.at(src, i);
+    }
+  };
+  compose_left_blocked<T, CT>(backend, panel.view(), panel_tau.view(),
+                              config.kernels, rep.stage_times, seed, m, n,
+                              full, wide ? rep.vt : rep.u, wide);
   return rep;
 }
 

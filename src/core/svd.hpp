@@ -34,10 +34,9 @@ enum class SvdJob {
                ///< allocated, no accumulation kernels launch)
   Thin,        ///< U is m x min(m, n), Vt is min(m, n) x n — the economy
                ///< factorization that PCA / low-rank use. Tall (or wide, on
-               ///< the lazy transpose) inputs past SvdConfig::qr_first_aspect
-               ///< take the QR-first path, whose accumulators peak at
-               ///< O(m_pad * n_pad) instead of O(max(m,n)_pad^2); inputs
-               ///< below the threshold still pay the square accumulator
+               ///< the lazy transpose) inputs run the pipeline on the R of a
+               ///< panel QR and lift U by reflector replay, so accumulators
+               ///< peak at O(m_pad * n_pad), not O(max(m,n)_pad^2)
   Full         ///< U is m x m, Vt is n x n (orthonormal completions of the
                ///< thin factors; O(m^2) memory for tall inputs)
 };
@@ -100,23 +99,10 @@ struct SvdConfig {
   /// once Auto sends a vector job to divide-and-conquer its values agree
   /// with the values-only solve within the accuracy gates, not bitwise.
   SvdJob job = SvdJob::ValuesOnly;
-  /// Aspect-ratio threshold of the QR-first tall path (vector jobs only):
-  /// when max(m, n) >= qr_first_aspect * min(m, n), the solver factors the
-  /// tall orientation A = Q R with the replayable tall-panel QR
-  /// (qr/panel_qr.hpp), runs the three-stage pipeline on the small
-  /// n_pad x n_pad R factor, and composes U = Q * U_R by backward reflector
-  /// replay — cutting peak left-accumulator memory from O(m_pad^2) to
-  /// O(m_pad * n_pad) and skipping the m_pad-wide accumulation work in
-  /// Stages 1-3. Singular values are bit-identical to the generic path
-  /// (enforced by tests/test_qr_first.cpp). Set <= 1 to force the path for
-  /// every rectangular vector solve, or a huge value (e.g.
-  /// core::kQrFirstAspectNever) to disable it; core::learn_qr_first_aspect
-  /// measures and persists the crossover per backend/precision.
-  double qr_first_aspect = 1.6;
   /// Fused tiny-problem threshold: problems with min(m, n) <= this take the
   /// stack-resident one-sided Jacobi path (src/small) — one fused kernel,
-  /// no tile padding, no per-stage launches — for every job, before the
-  /// QR-first aspect test. Values match the pipeline within the storage
+  /// no tile padding, no per-stage launches — for every job, before any
+  /// other dispatch. Values match the pipeline within the storage
   /// precision's accuracy gates and stay bit-identical across jobs on the
   /// fused path itself; SvdReport::small_path records the dispatch. Set 0
   /// to force the pipeline everywhere; core::learn_small_svd_threshold
@@ -137,9 +123,6 @@ struct SvdConfig {
 
   void validate() const {
     kernels.validate();
-    UNISVD_REQUIRE(qr_first_aspect > 0.0 && qr_first_aspect == qr_first_aspect,
-                   "SvdConfig: qr_first_aspect must be positive (set a huge "
-                   "value to disable the QR-first path, not 0 or NaN)");
     UNISVD_REQUIRE(small_svd_threshold >= 0,
                    "SvdConfig: small_svd_threshold must be >= 0 (0 disables "
                    "the fused tiny-problem path)");
@@ -195,9 +178,9 @@ struct SvdReport {
   ka::StageTimes stage_times;   ///< wall clock per pipeline stage
   band::ChaseStats chase_stats; ///< Stage-2 rotation counts
   index_t padded_n = 0;         ///< square working extent after padding
-  /// True when this solve took the QR-first tall path (vector job, aspect
-  /// ratio >= SvdConfig::qr_first_aspect): tall-panel QR, pipeline on R,
-  /// U = Q * U_R composed by backward reflector replay.
+  /// True when this solve took the tall vector route (vector job on a
+  /// rectangular input outside the fused path): tall-panel QR, pipeline on
+  /// R, U = Q * U_R composed by backward reflector replay.
   bool qr_first = false;
   /// True when this solve took the fused tiny-problem path (min(m, n) <=
   /// SvdConfig::small_svd_threshold): one stack-resident one-sided Jacobi
@@ -205,8 +188,7 @@ struct SvdReport {
   /// clock under ka::Stage::FusedSmall.
   bool small_path = false;
   /// True when Stage 3 ran the divide-and-conquer engine (src/dc) —
-  /// explicit Stage3Solver::DivideConquer, or Auto past the crossover. The
-  /// QR-first tall path reports its inner square solve's dispatch.
+  /// explicit Stage3Solver::DivideConquer, or Auto past the crossover.
   bool stage3_dc = false;
   double scale_factor = 1.0;    ///< auto_scale divisor applied to the input
   SvdStatus status = SvdStatus::Ok;  ///< per-problem outcome (batched Isolate)
@@ -216,7 +198,8 @@ struct SvdReport {
 /// Singular values with per-stage diagnostics. Rectangular inputs are
 /// supported: wide matrices run on the lazy transpose (sigma(A) ==
 /// sigma(A^T)); tall matrices are first reduced to square triangular form
-/// by a tiled tall QR built from the same GEQRT/TSQRT/UNMQR/TSMQR kernels.
+/// by the tiled panel QR (qr/panel_qr.hpp) built from the same
+/// GEQRT/TSQRT/UNMQR/TSMQR kernels.
 template <class T>
 SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config = {},
                             ka::Backend& backend = ka::default_backend());

@@ -109,6 +109,99 @@ template TuneResult autotune<float>(ka::Backend&, index_t, std::vector<qr::Kerne
 template TuneResult autotune<double>(ka::Backend&, index_t,
                                      std::vector<qr::KernelConfig>, int, std::uint64_t);
 
+namespace {
+
+template <class F>
+double seconds_of(const F& run) {
+  const auto t0 = std::chrono::steady_clock::now();
+  run();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Which contiguous run of challenger wins sets a learned threshold.
+enum class WinRule {
+  Prefix,  ///< the largest size up to which the challenger won at every
+           ///< probed size from the smallest (`none` if it lost there)
+  Suffix   ///< the smallest size from which the challenger won at every
+           ///< probed size up to the largest (`none` if it lost there)
+};
+
+/// Best-of-repeats seconds of both arms at one probed size.
+struct ArmSeconds {
+  index_t n = 0;
+  double incumbent = std::numeric_limits<double>::infinity();
+  double challenger = std::numeric_limits<double>::infinity();
+};
+
+struct Probe {
+  index_t value = 0;             ///< learned threshold (see WinRule)
+  std::vector<ArmSeconds> arms;  ///< ascending in n
+};
+
+/// The probe protocol of the three threshold tuners. `sizes` are sorted and
+/// deduplicated (each must be >= min_size). Per size, `prepare(n)` builds
+/// that size's inputs and returns `solve(bool challenger)`, which runs one
+/// arm once. Each arm first runs once untimed (pool wake-up, first touch);
+/// then `repeats` rounds time both arms, alternating which goes first, and
+/// keep each arm's best. Under either WinRule a noisy win beyond a real
+/// loss never moves the threshold.
+template <class Prepare>
+Probe probe_crossover(std::vector<index_t> sizes, index_t min_size, int repeats,
+                      WinRule rule, index_t none, const std::string& who,
+                      const Prepare& prepare) {
+  UNISVD_REQUIRE(repeats >= 1, who + ": repeats must be positive");
+  for (const index_t n : sizes) {
+    UNISVD_REQUIRE(n >= min_size, who + ": probed sizes must be >= " +
+                                      std::to_string(min_size));
+  }
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+
+  Probe probe;
+  for (const index_t n : sizes) {
+    const auto solve = prepare(n);
+    solve(false);
+    solve(true);
+    ArmSeconds arm;
+    arm.n = n;
+    for (int r = 0; r < repeats; ++r) {
+      for (const bool challenger : {r % 2 == 0, r % 2 != 0}) {
+        double& best = challenger ? arm.challenger : arm.incumbent;
+        best = std::min(best, seconds_of([&] { solve(challenger); }));
+      }
+    }
+    probe.arms.push_back(arm);
+  }
+  probe.value = none;
+  const auto won = [](const ArmSeconds& a) { return a.challenger <= a.incumbent; };
+  if (rule == WinRule::Prefix) {
+    for (auto it = probe.arms.begin(); it != probe.arms.end() && won(*it); ++it) {
+      probe.value = it->n;
+    }
+  } else {
+    for (auto it = probe.arms.rbegin(); it != probe.arms.rend() && won(*it); ++it) {
+      probe.value = it->n;
+    }
+  }
+  return probe;
+}
+
+/// A Thin-job solve of a random n x n probe matrix under `cfg` as adjusted
+/// by `arm(cfg, challenger)` — the `prepare` of the two SvdConfig tuners.
+template <class T, class Arm>
+auto square_thin_solve(ka::Backend& backend, const SvdConfig& config,
+                       rnd::Xoshiro256& rng, index_t n, Arm arm) {
+  return [&backend, config, arm,
+          probe = rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng))](bool challenger) {
+    SvdConfig cfg = config;
+    cfg.job = SvdJob::Thin;
+    arm(cfg, challenger);
+    (void)svd_values_report<T>(probe.view(), cfg, backend);
+  };
+}
+
+}  // namespace
+
 template <class T>
 BatchCrossoverResult tune_batch_crossover(ka::Backend& backend,
                                           std::vector<index_t> sizes,
@@ -123,66 +216,32 @@ BatchCrossoverResult tune_batch_crossover(ka::Backend& backend,
                  "must not be called from inside one of its own pool jobs");
   UNISVD_REQUIRE(problems_per_size >= 1,
                  "tune_batch_crossover: problems_per_size must be positive");
-  UNISVD_REQUIRE(repeats >= 1, "tune_batch_crossover: repeats must be positive");
   if (sizes.empty()) sizes = {32, 64, 128, 256};
-  for (const index_t n : sizes) {
-    UNISVD_REQUIRE(n >= 1, "tune_batch_crossover: probed sizes must be positive");
-  }
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
 
-  BatchCrossoverResult result;
   rnd::Xoshiro256 rng(seed);
-  // The crossover only extends while inter wins at every probed size from
-  // the bottom up: a noisy inter win above a real loss must not drag
-  // intermediate sizes (where intra measured faster) into the inter regime.
-  bool inter_prefix = true;
-  for (const index_t n : sizes) {
-    std::vector<Matrix<T>> problems;
-    problems.reserve(problems_per_size);
-    std::vector<ConstMatrixView<T>> views;
-    views.reserve(problems_per_size);
-    for (std::size_t p = 0; p < problems_per_size; ++p) {
-      problems.push_back(rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng)));
-      views.push_back(problems.back().view());
-    }
-
-    const auto run = [&](BatchSchedule schedule) {
-      BatchConfig bc;
-      bc.svd = config;
-      bc.schedule = schedule;
-      const auto t0 = std::chrono::steady_clock::now();
-      (void)svd_values_batched_report<T>(views, bc, backend);
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-    };
-
-    BatchCrossoverSample sample;
-    sample.n = n;
-    // Best of `repeats` per schedule (same protocol as autotune above). An
-    // untimed warmup run absorbs worker wake-up and first-touch costs, and
-    // the schedule order alternates per repeat so neither side systematically
-    // pays any residual warmup.
-    (void)run(BatchSchedule::InterProblem);
-    sample.inter_seconds = std::numeric_limits<double>::infinity();
-    sample.intra_seconds = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < repeats; ++r) {
-      const bool inter_first = r % 2 == 0;
-      const BatchSchedule order[] = {
-          inter_first ? BatchSchedule::InterProblem : BatchSchedule::IntraProblem,
-          inter_first ? BatchSchedule::IntraProblem : BatchSchedule::InterProblem};
-      for (const BatchSchedule schedule : order) {
-        double& best = schedule == BatchSchedule::InterProblem ? sample.inter_seconds
-                                                               : sample.intra_seconds;
-        best = std::min(best, run(schedule));
-      }
-    }
-    if (sample.inter_seconds <= sample.intra_seconds && inter_prefix) {
-      result.crossover_n = n;
-    } else {
-      inter_prefix = false;
-    }
-    result.samples.push_back(sample);
+  std::vector<Matrix<T>> problems;
+  std::vector<ConstMatrixView<T>> views;
+  // Challenger: the inter-problem schedule, one problem per pool slot.
+  const Probe probe = probe_crossover(
+      std::move(sizes), 1, repeats, WinRule::Prefix, 0, "tune_batch_crossover",
+      [&](index_t n) {
+        problems.clear();
+        views.clear();
+        for (std::size_t p = 0; p < problems_per_size; ++p) {
+          problems.push_back(rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng)));
+        }
+        for (const auto& m : problems) views.push_back(m.view());
+        return [&](bool inter) {
+          BatchConfig bc;
+          bc.svd = config;
+          bc.schedule = inter ? BatchSchedule::InterProblem : BatchSchedule::IntraProblem;
+          (void)svd_values_batched_report<T>(views, bc, backend);
+        };
+      });
+  BatchCrossoverResult result;
+  result.crossover_n = probe.value;
+  for (const ArmSeconds& a : probe.arms) {
+    result.samples.push_back(BatchCrossoverSample{a.n, a.challenger, a.incumbent});
   }
   return result;
 }
@@ -212,16 +271,39 @@ std::optional<Precision> parse_precision(const std::string& tok) {
   return std::nullopt;
 }
 
-/// Fallback precisions, nearest first. FP16 and FP32 prefer each other
-/// (they share the FP32 compute path, so tuned values transfer well) before
-/// falling back to FP64, and vice versa.
-std::array<Precision, 2> precision_neighbors(Precision p) {
+/// Lookup order: the exact precision, then its neighbours nearest first.
+/// FP16 and FP32 prefer each other (they share the FP32 compute path, so
+/// tuned values transfer well) before falling back to FP64, and vice versa.
+std::array<Precision, 3> precision_search_order(Precision p) {
   switch (p) {
-    case Precision::FP16: return {Precision::FP32, Precision::FP64};
-    case Precision::FP32: return {Precision::FP16, Precision::FP64};
-    case Precision::FP64: return {Precision::FP32, Precision::FP16};
+    case Precision::FP16: return {p, Precision::FP32, Precision::FP64};
+    case Precision::FP32: return {p, Precision::FP16, Precision::FP64};
+    case Precision::FP64: return {p, Precision::FP32, Precision::FP16};
   }
-  return {Precision::FP32, Precision::FP64};
+  return {p, Precision::FP32, Precision::FP64};
+}
+
+using Threshold = TuningTable::Threshold;
+
+/// Text directive of each threshold, indexed by the enum value.
+constexpr std::array<const char*, 3> kThresholdDirectives = {"crossover", "small_svd",
+                                                             "stage3"};
+
+const char* directive_of(Threshold knob) {
+  return kThresholdDirectives[static_cast<std::size_t>(knob)];
+}
+
+std::optional<Threshold> threshold_of(const std::string& directive) {
+  for (std::size_t i = 0; i < kThresholdDirectives.size(); ++i) {
+    if (directive == kThresholdDirectives[i]) return static_cast<Threshold>(i);
+  }
+  return std::nullopt;
+}
+
+void require_backend_name(std::string_view backend) {
+  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
+                 "TuningTable: backend names must be free of whitespace and '#' "
+                 "(the text format's separators and comment marker)");
 }
 
 }  // namespace
@@ -229,43 +311,40 @@ std::array<Precision, 2> precision_neighbors(Precision p) {
 template <class V>
 const V* TuningTable::lookup(const std::map<Key, V>& entries, std::string_view backend,
                              Precision p) {
-  const auto exact = entries.find(Key{std::string(backend), p});
-  if (exact != entries.end()) return &exact->second;
-  for (const Precision q : precision_neighbors(p)) {
-    const auto near = entries.find(Key{std::string(backend), q});
-    if (near != entries.end()) return &near->second;
+  for (const Precision q : precision_search_order(p)) {
+    const auto it = entries.find(Key{std::string(backend), q});
+    if (it != entries.end()) return &it->second;
   }
   return nullptr;
 }
 
-void TuningTable::set_batch_crossover(std::string_view backend, Precision p,
-                                      index_t crossover_n) {
-  UNISVD_REQUIRE(crossover_n >= 0, "TuningTable: crossover must be >= 0");
-  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
-                 "TuningTable: backend names must be free of whitespace and '#' "
-                 "(the text format's separators and comment marker)");
-  crossovers_[Key{std::string(backend), p}] = crossover_n;
+void TuningTable::set(Threshold knob, std::string_view backend, Precision p,
+                      index_t value) {
+  UNISVD_REQUIRE(value >= 0, std::string("TuningTable: ") + directive_of(knob) +
+                                 " threshold must be >= 0");
+  require_backend_name(backend);
+  thresholds_[{knob, std::string(backend), p}] = value;
 }
 
-std::optional<index_t> TuningTable::batch_crossover(std::string_view backend,
-                                                    Precision p) const {
-  const auto it = crossovers_.find(Key{std::string(backend), p});
-  if (it == crossovers_.end()) return std::nullopt;
+std::optional<index_t> TuningTable::get(Threshold knob, std::string_view backend,
+                                        Precision p) const {
+  const auto it = thresholds_.find({knob, std::string(backend), p});
+  if (it == thresholds_.end()) return std::nullopt;
   return it->second;
 }
 
-index_t TuningTable::batch_crossover_or(std::string_view backend, Precision p,
-                                        index_t fallback) const {
-  const index_t* hit = lookup(crossovers_, backend, p);
-  return hit != nullptr ? *hit : fallback;
+index_t TuningTable::get_or(Threshold knob, std::string_view backend, Precision p,
+                            index_t fallback) const {
+  for (const Precision q : precision_search_order(p)) {
+    if (const auto hit = get(knob, backend, q)) return *hit;
+  }
+  return fallback;
 }
 
 void TuningTable::set_kernels(std::string_view backend, Precision p,
                               const qr::KernelConfig& cfg) {
   cfg.validate();
-  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
-                 "TuningTable: backend names must be free of whitespace and '#' "
-                 "(the text format's separators and comment marker)");
+  require_backend_name(backend);
   kernel_configs_[Key{std::string(backend), p}] = cfg;
 }
 
@@ -286,9 +365,7 @@ void TuningTable::set_rsvd(std::string_view backend, Precision p,
                            const RsvdDefaults& d) {
   UNISVD_REQUIRE(d.oversample >= 0 && d.power_iters >= 0,
                  "TuningTable: rsvd defaults must be non-negative");
-  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
-                 "TuningTable: backend names must be free of whitespace and '#' "
-                 "(the text format's separators and comment marker)");
+  require_backend_name(backend);
   rsvd_defaults_[Key{std::string(backend), p}] = d;
 }
 
@@ -305,78 +382,6 @@ TuningTable::RsvdDefaults TuningTable::rsvd_or(std::string_view backend, Precisi
   return hit != nullptr ? *hit : fallback;
 }
 
-void TuningTable::set_qr_first_aspect(std::string_view backend, Precision p,
-                                      double aspect) {
-  UNISVD_REQUIRE(std::isfinite(aspect) && aspect > 0.0,
-                 "TuningTable: qr_first aspect must be finite and positive "
-                 "(use kQrFirstAspectNever for 'never faster')");
-  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
-                 "TuningTable: backend names must be free of whitespace and '#' "
-                 "(the text format's separators and comment marker)");
-  qr_first_aspects_[Key{std::string(backend), p}] = aspect;
-}
-
-std::optional<double> TuningTable::qr_first_aspect(std::string_view backend,
-                                                   Precision p) const {
-  const auto it = qr_first_aspects_.find(Key{std::string(backend), p});
-  if (it == qr_first_aspects_.end()) return std::nullopt;
-  return it->second;
-}
-
-double TuningTable::qr_first_aspect_or(std::string_view backend, Precision p,
-                                       double fallback) const {
-  const double* hit = lookup(qr_first_aspects_, backend, p);
-  return hit != nullptr ? *hit : fallback;
-}
-
-void TuningTable::set_stage3_crossover(std::string_view backend, Precision p,
-                                       index_t n) {
-  UNISVD_REQUIRE(n >= 0,
-                 "TuningTable: stage3 crossover must be >= 0 (use "
-                 "kStage3CrossoverNever for 'never faster')");
-  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
-                 "TuningTable: backend names must be free of whitespace and '#' "
-                 "(the text format's separators and comment marker)");
-  stage3_crossovers_[Key{std::string(backend), p}] = n;
-}
-
-std::optional<index_t> TuningTable::stage3_crossover(std::string_view backend,
-                                                     Precision p) const {
-  const auto it = stage3_crossovers_.find(Key{std::string(backend), p});
-  if (it == stage3_crossovers_.end()) return std::nullopt;
-  return it->second;
-}
-
-index_t TuningTable::stage3_crossover_or(std::string_view backend, Precision p,
-                                         index_t fallback) const {
-  const index_t* hit = lookup(stage3_crossovers_, backend, p);
-  return hit != nullptr ? *hit : fallback;
-}
-
-void TuningTable::set_small_svd_threshold(std::string_view backend, Precision p,
-                                          index_t threshold) {
-  UNISVD_REQUIRE(threshold >= 0,
-                 "TuningTable: small_svd threshold must be >= 0 (0 disables "
-                 "the fused tiny-problem path)");
-  UNISVD_REQUIRE(backend.find_first_of(" \t\n#") == std::string_view::npos,
-                 "TuningTable: backend names must be free of whitespace and '#' "
-                 "(the text format's separators and comment marker)");
-  small_svd_thresholds_[Key{std::string(backend), p}] = threshold;
-}
-
-std::optional<index_t> TuningTable::small_svd_threshold(std::string_view backend,
-                                                        Precision p) const {
-  const auto it = small_svd_thresholds_.find(Key{std::string(backend), p});
-  if (it == small_svd_thresholds_.end()) return std::nullopt;
-  return it->second;
-}
-
-index_t TuningTable::small_svd_threshold_or(std::string_view backend, Precision p,
-                                            index_t fallback) const {
-  const index_t* hit = lookup(small_svd_thresholds_, backend, p);
-  return hit != nullptr ? *hit : fallback;
-}
-
 void TuningTable::write(std::ostream& os) const {
   // The text format is locale-independent by contract: a process that set a
   // global locale with ',' decimal points (or digit grouping on integers)
@@ -384,10 +389,17 @@ void TuningTable::write(std::ostream& os) const {
   // whole write and restore the caller's on exit.
   const std::locale caller_locale = os.imbue(std::locale::classic());
   os << "# unisvd tuning table v1\n";
-  for (const auto& [key, crossover] : crossovers_) {
-    os << "crossover " << key.first << ' ' << to_string(key.second) << ' '
-       << crossover << '\n';
-  }
+  // Directive order is part of the format: crossover lines first, the
+  // other thresholds after kernels and rsvd.
+  const auto write_thresholds = [&](bool crossover) {
+    for (const auto& [key, value] : thresholds_) {
+      const auto& [knob, backend, p] = key;
+      if ((knob == Threshold::BatchCrossover) != crossover) continue;
+      os << directive_of(knob) << ' ' << backend << ' ' << to_string(p) << ' '
+         << value << '\n';
+    }
+  };
+  write_thresholds(true);
   for (const auto& [key, cfg] : kernel_configs_) {
     os << "kernels " << key.first << ' ' << to_string(key.second) << ' '
        << cfg.tilesize << ' ' << cfg.colperblock << ' ' << cfg.splitk << ' '
@@ -397,24 +409,7 @@ void TuningTable::write(std::ostream& os) const {
     os << "rsvd " << key.first << ' ' << to_string(key.second) << ' '
        << d.oversample << ' ' << d.power_iters << '\n';
   }
-  // The aspect is the format's only floating-point field: write it at
-  // max_digits10 so every double survives the save/load round trip
-  // (restoring the caller's stream precision afterwards).
-  const auto old_precision = os.precision();
-  os.precision(std::numeric_limits<double>::max_digits10);
-  for (const auto& [key, aspect] : qr_first_aspects_) {
-    os << "qr_first " << key.first << ' ' << to_string(key.second) << ' '
-       << aspect << '\n';
-  }
-  os.precision(old_precision);
-  for (const auto& [key, threshold] : small_svd_thresholds_) {
-    os << "small_svd " << key.first << ' ' << to_string(key.second) << ' '
-       << threshold << '\n';
-  }
-  for (const auto& [key, n] : stage3_crossovers_) {
-    os << "stage3 " << key.first << ' ' << to_string(key.second) << ' ' << n
-       << '\n';
-  }
+  write_thresholds(false);
   os.imbue(caller_locale);
 }
 
@@ -424,11 +419,11 @@ TuningTable TuningTable::read(std::istream& is, std::size_t* malformed_lines) {
   // A line whose KNOWN directive fails to parse is corruption (a truncated
   // write, a hand-edit gone wrong) and is counted — as is a directive that
   // is a torn PREFIX of a known one ("crossov": a write cut off inside the
-  // token itself). Genuinely unknown directives pass silently so newer
-  // tables still load on older code.
+  // token itself). Genuinely unknown directives pass silently, so newer
+  // tables still load on older code and tables holding retired directives
+  // still load on newer code.
   const auto known = [](const std::string& d) {
-    for (const char* full :
-         {"crossover", "kernels", "rsvd", "qr_first", "small_svd", "stage3"}) {
+    for (const char* full : {"crossover", "kernels", "rsvd", "small_svd", "stage3"}) {
       const std::string_view f(full);
       if (d == f || (!d.empty() && d.size() < f.size() &&
                      f.substr(0, d.size()) == d)) {
@@ -443,9 +438,8 @@ TuningTable TuningTable::read(std::istream& is, std::size_t* malformed_lines) {
     if (hash != std::string::npos) line.erase(hash);
     std::istringstream ls(line);
     // Parse under the classic "C" locale whatever the process global is:
-    // `>> double` in a de_DE-style locale would stop at the '.' of "1.5"
-    // and silently load aspect 1 (and grouping locales can mangle the
-    // integer fields). Mirrors the imbue in write().
+    // grouping locales can mangle the integer fields. Mirrors the imbue in
+    // write().
     ls.imbue(std::locale::classic());
     std::string directive;
     if (!(ls >> directive)) continue;  // blank line
@@ -457,13 +451,13 @@ TuningTable TuningTable::read(std::istream& is, std::size_t* malformed_lines) {
       if (known(directive)) ++malformed;  // truncated / garbled key: skip
       continue;
     }
-    if (directive == "crossover") {
-      index_t crossover = -1;
-      if (!(ls >> crossover) || crossover < 0) {
+    if (const auto knob = threshold_of(directive)) {
+      index_t value = -1;
+      if (!(ls >> value) || value < 0) {
         ++malformed;
         continue;
       }
-      table.crossovers_[Key{backend, *p}] = crossover;
+      table.thresholds_[{*knob, backend, *p}] = value;
     } else if (directive == "kernels") {
       qr::KernelConfig cfg;
       int fused = 0;
@@ -487,27 +481,6 @@ TuningTable TuningTable::read(std::istream& is, std::size_t* malformed_lines) {
         continue;
       }
       table.rsvd_defaults_[Key{backend, *p}] = d;
-    } else if (directive == "qr_first") {
-      double aspect = 0.0;
-      if (!(ls >> aspect) || !std::isfinite(aspect) || aspect <= 0.0) {
-        ++malformed;
-        continue;
-      }
-      table.qr_first_aspects_[Key{backend, *p}] = aspect;
-    } else if (directive == "small_svd") {
-      index_t threshold = -1;
-      if (!(ls >> threshold) || threshold < 0) {
-        ++malformed;
-        continue;
-      }
-      table.small_svd_thresholds_[Key{backend, *p}] = threshold;
-    } else if (directive == "stage3") {
-      index_t n = -1;
-      if (!(ls >> n) || n < 0) {
-        ++malformed;
-        continue;
-      }
-      table.stage3_crossovers_[Key{backend, *p}] = n;
     } else if (known(directive)) {
       ++malformed;  // torn prefix of a known directive, args intact
     }
@@ -585,117 +558,27 @@ template index_t learn_batch_crossover<double>(TuningTable&, ka::Backend&,
                                                std::vector<index_t>, std::size_t, int,
                                                const SvdConfig&, std::uint64_t);
 
+namespace {
+
+/// Drop the table's per-solve entries (Phase-1 kernels and the two
+/// SvdConfig thresholds) into `svd`, keeping its values where the table has
+/// nothing measured.
+void apply_tuned_svd(const TuningTable& table, std::string_view backend, Precision p,
+                     SvdConfig& svd) {
+  svd.kernels = table.kernels_or(backend, p, svd.kernels);
+  svd.small_svd_threshold =
+      table.get_or(Threshold::SmallSvd, backend, p, svd.small_svd_threshold);
+  svd.dc_crossover = table.get_or(Threshold::Stage3, backend, p, svd.dc_crossover);
+}
+
+}  // namespace
+
 BatchConfig tuned_batch_config(const TuningTable& table, const ka::Backend& backend,
                                Precision p, BatchConfig base) {
   base.crossover_n = table.batch_crossover_or(backend.name(), p, base.crossover_n);
-  base.svd.kernels = table.kernels_or(backend.name(), p, base.svd.kernels);
-  base.svd.qr_first_aspect =
-      table.qr_first_aspect_or(backend.name(), p, base.svd.qr_first_aspect);
-  base.svd.small_svd_threshold = table.small_svd_threshold_or(
-      backend.name(), p, base.svd.small_svd_threshold);
-  base.svd.dc_crossover =
-      table.stage3_crossover_or(backend.name(), p, base.svd.dc_crossover);
+  apply_tuned_svd(table, backend.name(), p, base.svd);
   return base;
 }
-
-template <class T>
-QrFirstAspectResult tune_qr_first_aspect(ka::Backend& backend, index_t n,
-                                         std::vector<double> aspects, int repeats,
-                                         const SvdConfig& config,
-                                         std::uint64_t seed) {
-  UNISVD_REQUIRE(backend.executes(),
-                 "tune_qr_first_aspect: backend must execute kernels");
-  UNISVD_REQUIRE(n >= 2, "tune_qr_first_aspect: probe extent must be >= 2");
-  UNISVD_REQUIRE(repeats >= 1, "tune_qr_first_aspect: repeats must be positive");
-  if (aspects.empty()) aspects = {1.25, 1.5, 2.0, 3.0, 4.0};
-  for (const double a : aspects) {
-    UNISVD_REQUIRE(std::isfinite(a) && a > 1.0,
-                   "tune_qr_first_aspect: probed aspects must be > 1");
-  }
-  std::sort(aspects.begin(), aspects.end());
-  aspects.erase(std::unique(aspects.begin(), aspects.end()), aspects.end());
-
-  rnd::Xoshiro256 rng(seed);
-  QrFirstAspectResult result;
-  for (const double aspect : aspects) {
-    const index_t m = std::max<index_t>(
-        n + 1, static_cast<index_t>(std::llround(aspect * static_cast<double>(n))));
-    const Matrix<T> probe = rnd::round_to<T>(rnd::gaussian_matrix(m, n, rng));
-
-    const auto run = [&](double forced_aspect) {
-      SvdConfig cfg = config;
-      cfg.job = SvdJob::Thin;
-      cfg.qr_first_aspect = forced_aspect;
-      double best = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < repeats; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)svd_values_report<T>(probe.view(), cfg, backend);
-        best = std::min(
-            best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                      .count());
-      }
-      return best;
-    };
-
-    QrFirstSample sample;
-    sample.aspect = aspect;
-    sample.m = m;
-    // Untimed warmup (pool wake-up, first-touch) so the first TIMED run —
-    // which would otherwise always be the generic side of the smallest
-    // aspect — carries no session-start bias; same protocol as
-    // tune_batch_crossover's warmup batch.
-    (void)run(kQrFirstAspectNever);
-    sample.generic_seconds = run(kQrFirstAspectNever);  // path disabled
-    sample.qr_first_seconds = run(1.0);                 // path forced
-    result.samples.push_back(sample);
-  }
-
-  // The threshold only descends through a contiguous winning SUFFIX: the
-  // QR-first path must win from the learned aspect all the way up, so a
-  // noisy win below a real loss cannot drag the crossover down.
-  result.aspect = kQrFirstAspectNever;
-  for (auto it = result.samples.rbegin(); it != result.samples.rend(); ++it) {
-    if (it->qr_first_seconds <= it->generic_seconds) {
-      result.aspect = it->aspect;
-    } else {
-      break;
-    }
-  }
-  return result;
-}
-
-template QrFirstAspectResult tune_qr_first_aspect<Half>(ka::Backend&, index_t,
-                                                        std::vector<double>, int,
-                                                        const SvdConfig&,
-                                                        std::uint64_t);
-template QrFirstAspectResult tune_qr_first_aspect<float>(ka::Backend&, index_t,
-                                                         std::vector<double>, int,
-                                                         const SvdConfig&,
-                                                         std::uint64_t);
-template QrFirstAspectResult tune_qr_first_aspect<double>(ka::Backend&, index_t,
-                                                          std::vector<double>, int,
-                                                          const SvdConfig&,
-                                                          std::uint64_t);
-
-template <class T>
-double learn_qr_first_aspect(TuningTable& table, ka::Backend& backend, index_t n,
-                             std::vector<double> aspects, int repeats,
-                             const SvdConfig& config, std::uint64_t seed) {
-  const QrFirstAspectResult result = tune_qr_first_aspect<T>(
-      backend, n, std::move(aspects), repeats, config, seed);
-  table.set_qr_first_aspect(backend.name(), precision_of<T>, result.aspect);
-  return result.aspect;
-}
-
-template double learn_qr_first_aspect<Half>(TuningTable&, ka::Backend&, index_t,
-                                            std::vector<double>, int,
-                                            const SvdConfig&, std::uint64_t);
-template double learn_qr_first_aspect<float>(TuningTable&, ka::Backend&, index_t,
-                                             std::vector<double>, int,
-                                             const SvdConfig&, std::uint64_t);
-template double learn_qr_first_aspect<double>(TuningTable&, ka::Backend&, index_t,
-                                              std::vector<double>, int,
-                                              const SvdConfig&, std::uint64_t);
 
 template <class T>
 SmallSvdThresholdResult tune_small_svd_threshold(ka::Backend& backend,
@@ -705,52 +588,21 @@ SmallSvdThresholdResult tune_small_svd_threshold(ka::Backend& backend,
                                                  std::uint64_t seed) {
   UNISVD_REQUIRE(backend.executes(),
                  "tune_small_svd_threshold: backend must execute kernels");
-  UNISVD_REQUIRE(repeats >= 1, "tune_small_svd_threshold: repeats must be positive");
   if (sizes.empty()) sizes = {8, 16, 24, 32, 48, 64};
-  for (const index_t n : sizes) {
-    UNISVD_REQUIRE(n >= 1, "tune_small_svd_threshold: probed sizes must be positive");
-  }
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
-
   rnd::Xoshiro256 rng(seed);
+  // Challenger: the fused path forced at the probed size (incumbent: off).
+  const Probe probe = probe_crossover(
+      std::move(sizes), 1, repeats, WinRule::Prefix, 0, "tune_small_svd_threshold",
+      [&](index_t n) {
+        return square_thin_solve<T>(backend, config, rng, n,
+                                    [n](SvdConfig& cfg, bool fused) {
+                                      cfg.small_svd_threshold = fused ? n : 0;
+                                    });
+      });
   SmallSvdThresholdResult result;
-  // Prefix-win, like tune_batch_crossover: the threshold only extends while
-  // the fused path wins at every probed size from the smallest up, so a
-  // noisy fused win above a real pipeline win cannot drag intermediate
-  // sizes into the fused regime.
-  bool fused_prefix = true;
-  for (const index_t n : sizes) {
-    const Matrix<T> probe = rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng));
-
-    const auto run = [&](index_t threshold) {
-      SvdConfig cfg = config;
-      cfg.job = SvdJob::Thin;
-      cfg.small_svd_threshold = threshold;
-      double best = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < repeats; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)svd_values_report<T>(probe.view(), cfg, backend);
-        best = std::min(
-            best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                      .count());
-      }
-      return best;
-    };
-
-    SmallSvdSample sample;
-    sample.n = n;
-    // Untimed warmup (pool wake-up, first-touch), same protocol as the
-    // qr_first and batch-crossover tuners.
-    (void)run(0);
-    sample.pipeline_seconds = run(0);  // fused path disabled
-    sample.fused_seconds = run(n);     // fused path forced at this size
-    if (sample.fused_seconds <= sample.pipeline_seconds && fused_prefix) {
-      result.threshold = n;
-    } else {
-      fused_prefix = false;
-    }
-    result.samples.push_back(sample);
+  result.threshold = probe.value;
+  for (const ArmSeconds& a : probe.arms) {
+    result.samples.push_back(SmallSvdSample{a.n, a.challenger, a.incumbent});
   }
   return result;
 }
@@ -768,7 +620,7 @@ index_t learn_small_svd_threshold(TuningTable& table, ka::Backend& backend,
                                   const SvdConfig& config, std::uint64_t seed) {
   const SmallSvdThresholdResult result = tune_small_svd_threshold<T>(
       backend, std::move(sizes), repeats, config, seed);
-  table.set_small_svd_threshold(backend.name(), precision_of<T>, result.threshold);
+  table.set(Threshold::SmallSvd, backend.name(), precision_of<T>, result.threshold);
   return result.threshold;
 }
 
@@ -789,58 +641,25 @@ Stage3CrossoverResult tune_stage3_crossover(ka::Backend& backend,
                                             std::uint64_t seed) {
   UNISVD_REQUIRE(backend.executes(),
                  "tune_stage3_crossover: backend must execute kernels");
-  UNISVD_REQUIRE(repeats >= 1, "tune_stage3_crossover: repeats must be positive");
   if (sizes.empty()) sizes = {64, 96, 128, 192};
-  for (const index_t n : sizes) {
-    UNISVD_REQUIRE(n >= 2, "tune_stage3_crossover: probed sizes must be >= 2");
-  }
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
-
   rnd::Xoshiro256 rng(seed);
+  // Challenger: divide-and-conquer (incumbent: implicit QR). The probe
+  // measures the Stage-3 engines, not the dispatch heuristics around them,
+  // so the tiny-problem shortcut stays out of the way.
+  const Probe probe = probe_crossover(
+      std::move(sizes), 2, repeats, WinRule::Suffix, kStage3CrossoverNever,
+      "tune_stage3_crossover", [&](index_t n) {
+        return square_thin_solve<T>(backend, config, rng, n,
+                                    [](SvdConfig& cfg, bool dc) {
+                                      cfg.stage3 = dc ? Stage3Solver::DivideConquer
+                                                      : Stage3Solver::QR;
+                                      cfg.small_svd_threshold = 0;
+                                    });
+      });
   Stage3CrossoverResult result;
-  for (const index_t n : sizes) {
-    const Matrix<T> probe = rnd::round_to<T>(rnd::gaussian_matrix(n, n, rng));
-
-    const auto run = [&](Stage3Solver solver) {
-      SvdConfig cfg = config;
-      cfg.job = SvdJob::Thin;
-      cfg.stage3 = solver;
-      // The probe measures the Stage-3 engines, not the dispatch heuristics
-      // around them: keep the tiny-problem shortcut out of the way.
-      cfg.small_svd_threshold = 0;
-      double best = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < repeats; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)svd_values_report<T>(probe.view(), cfg, backend);
-        best = std::min(
-            best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                      .count());
-      }
-      return best;
-    };
-
-    Stage3Sample sample;
-    sample.n = n;
-    // Untimed warmup (pool wake-up, first-touch), same protocol as the
-    // qr_first and batch-crossover tuners.
-    (void)run(Stage3Solver::QR);
-    sample.qr_seconds = run(Stage3Solver::QR);
-    sample.dc_seconds = run(Stage3Solver::DivideConquer);
-    result.samples.push_back(sample);
-  }
-
-  // The crossover only descends through a contiguous winning SUFFIX: D&C
-  // must win from the learned extent all the way up, so a noisy win below
-  // a real loss cannot drag the crossover down (mirrors
-  // tune_qr_first_aspect).
-  result.crossover = kStage3CrossoverNever;
-  for (auto it = result.samples.rbegin(); it != result.samples.rend(); ++it) {
-    if (it->dc_seconds <= it->qr_seconds) {
-      result.crossover = it->n;
-    } else {
-      break;
-    }
+  result.crossover = probe.value;
+  for (const ArmSeconds& a : probe.arms) {
+    result.samples.push_back(Stage3Sample{a.n, a.incumbent, a.challenger});
   }
   return result;
 }
@@ -858,7 +677,7 @@ index_t learn_stage3_crossover(TuningTable& table, ka::Backend& backend,
                                const SvdConfig& config, std::uint64_t seed) {
   const Stage3CrossoverResult result = tune_stage3_crossover<T>(
       backend, std::move(sizes), repeats, config, seed);
-  table.set_stage3_crossover(backend.name(), precision_of<T>, result.crossover);
+  table.set(Threshold::Stage3, backend.name(), precision_of<T>, result.crossover);
   return result.crossover;
 }
 
@@ -997,13 +816,7 @@ TruncConfig tuned_trunc_config(const TuningTable& table, const ka::Backend& back
       TuningTable::RsvdDefaults{base.oversample, base.power_iters});
   base.oversample = d.oversample;
   base.power_iters = d.power_iters;
-  base.svd.kernels = table.kernels_or(backend.name(), p, base.svd.kernels);
-  base.svd.qr_first_aspect =
-      table.qr_first_aspect_or(backend.name(), p, base.svd.qr_first_aspect);
-  base.svd.small_svd_threshold = table.small_svd_threshold_or(
-      backend.name(), p, base.svd.small_svd_threshold);
-  base.svd.dc_crossover =
-      table.stage3_crossover_or(backend.name(), p, base.svd.dc_crossover);
+  apply_tuned_svd(table, backend.name(), p, base.svd);
   return base;
 }
 

@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -63,12 +64,13 @@ struct BatchCrossoverResult {
 /// Learn the inter/intra batch-schedule crossover for this backend and
 /// storage type: time a uniform batch of `problems_per_size` random n x n
 /// problems under both schedules at each probed size, keeping the best of
-/// `repeats` runs per schedule (after one untimed warmup batch per size, and
-/// alternating which schedule is timed first). Empty
-/// `sizes` uses a default ladder. The result's crossover_n drops into
-/// BatchConfig::crossover_n (core/batch.hpp). Throws when the backend has
-/// no usable thread pool (serial, width-1): the inter schedule could not
-/// actually run and the comparison would be noise.
+/// `repeats` runs per schedule (after one untimed warmup run of each, and
+/// alternating which schedule is timed first — the probe protocol all three
+/// threshold tuners share). Empty `sizes` uses a default ladder. The
+/// result's crossover_n drops into BatchConfig::crossover_n
+/// (core/batch.hpp). Throws when the backend has no usable thread pool
+/// (serial, width-1): the inter schedule could not actually run and the
+/// comparison would be noise.
 template <class T>
 [[nodiscard]] BatchCrossoverResult tune_batch_crossover(
     ka::Backend& backend, std::vector<index_t> sizes = {},
@@ -77,10 +79,11 @@ template <class T>
 
 /// Persisted empirical-tuning results, keyed by (backend name, precision) —
 /// the runtime counterpart of the compile-time device tables in
-/// sim/tuning.hpp. Holds the learned batch-schedule crossover
-/// (tune_batch_crossover) and the fastest Phase-1 kernel configuration
-/// (autotune), so BatchConfig::crossover_n and SvdConfig::kernels defaults
-/// come from measurements instead of hardcoded constants.
+/// sim/tuning.hpp. Holds the learned index-valued thresholds (batch-schedule
+/// crossover, fused tiny-problem threshold, Stage-3 engine crossover), the
+/// fastest Phase-1 kernel configuration (autotune) and the randomized-SVD
+/// defaults (tune_rsvd), so BatchConfig/SvdConfig/TruncConfig defaults come
+/// from measurements instead of hardcoded constants.
 ///
 /// Lookups fall back sim::tuned_kernel_config-style: exact (backend,
 /// precision) first, then the same backend's nearest precision (FP16 and
@@ -92,7 +95,6 @@ template <class T>
 ///   crossover <backend> <FP16|FP32|FP64> <n>
 ///   kernels <backend> <FP16|FP32|FP64> <tilesize> <colperblock> <splitk> <fused 0|1>
 ///   rsvd <backend> <FP16|FP32|FP64> <oversample> <power_iters>
-///   qr_first <backend> <FP16|FP32|FP64> <aspect>
 ///   small_svd <backend> <FP16|FP32|FP64> <threshold>
 ///   stage3 <backend> <FP16|FP32|FP64> <crossover_n>
 /// Backend names must be free of whitespace and '#' — the format's
@@ -107,13 +109,37 @@ template <class T>
 /// one stderr warning instead of failing the caller.
 class TuningTable {
  public:
-  /// Learned BatchConfig::crossover_n for one backend/precision.
-  void set_batch_crossover(std::string_view backend, Precision p, index_t crossover_n);
+  /// The index-valued thresholds, one text directive each. They share one
+  /// record keyed by (knob, backend, precision) and one rule: values >= 0.
+  enum class Threshold {
+    BatchCrossover,  ///< `crossover`: BatchConfig::crossover_n
+                     ///< (tune_batch_crossover; 0 = always intra)
+    SmallSvd,        ///< `small_svd`: SvdConfig::small_svd_threshold
+                     ///< (tune_small_svd_threshold; 0 = path disabled)
+    Stage3           ///< `stage3`: SvdConfig::dc_crossover
+                     ///< (tune_stage3_crossover; kStage3CrossoverNever =
+                     ///< divide-and-conquer never faster)
+  };
+  void set(Threshold knob, std::string_view backend, Precision p, index_t value);
+  [[nodiscard]] std::optional<index_t> get(Threshold knob, std::string_view backend,
+                                           Precision p) const;
+  /// The threshold with fallback rules applied; `fallback` when nothing
+  /// matches.
+  [[nodiscard]] index_t get_or(Threshold knob, std::string_view backend, Precision p,
+                               index_t fallback) const;
+
+  /// Batch-crossover spellings of set/get/get_or.
+  void set_batch_crossover(std::string_view backend, Precision p, index_t crossover_n) {
+    set(Threshold::BatchCrossover, backend, p, crossover_n);
+  }
   [[nodiscard]] std::optional<index_t> batch_crossover(std::string_view backend,
-                                                       Precision p) const;
-  /// Crossover with fallback rules applied; `fallback` when nothing matches.
+                                                       Precision p) const {
+    return get(Threshold::BatchCrossover, backend, p);
+  }
   [[nodiscard]] index_t batch_crossover_or(std::string_view backend, Precision p,
-                                           index_t fallback) const;
+                                           index_t fallback) const {
+    return get_or(Threshold::BatchCrossover, backend, p, fallback);
+  }
 
   /// Fastest measured Phase-1 kernel configuration (core::autotune).
   void set_kernels(std::string_view backend, Precision p, const qr::KernelConfig& cfg);
@@ -136,42 +162,8 @@ class TuningTable {
   [[nodiscard]] RsvdDefaults rsvd_or(std::string_view backend, Precision p,
                                      const RsvdDefaults& fallback) const;
 
-  /// Measured SvdConfig::qr_first_aspect threshold of the dense QR-first
-  /// tall path (core::tune_qr_first_aspect): the smallest probed aspect
-  /// ratio from which the QR-first formulation stayed faster than the
-  /// generic accumulate-through path. kQrFirstAspectNever records "never
-  /// faster on this backend".
-  void set_qr_first_aspect(std::string_view backend, Precision p, double aspect);
-  [[nodiscard]] std::optional<double> qr_first_aspect(std::string_view backend,
-                                                      Precision p) const;
-  [[nodiscard]] double qr_first_aspect_or(std::string_view backend, Precision p,
-                                          double fallback) const;
-
-  /// Measured SvdConfig::dc_crossover of the Stage-3 divide-and-conquer
-  /// engine (core::tune_stage3_crossover): the smallest probed extent from
-  /// which D&C stayed faster than the implicit-QR vector kernel.
-  /// kStage3CrossoverNever records "never faster on this backend".
-  void set_stage3_crossover(std::string_view backend, Precision p, index_t n);
-  [[nodiscard]] std::optional<index_t> stage3_crossover(std::string_view backend,
-                                                        Precision p) const;
-  [[nodiscard]] index_t stage3_crossover_or(std::string_view backend, Precision p,
-                                            index_t fallback) const;
-
-  /// Measured SvdConfig::small_svd_threshold of the fused tiny-problem path
-  /// (core::tune_small_svd_threshold): the largest probed min(m, n) up to
-  /// which the fused one-sided Jacobi kernel beat the tiled pipeline.
-  /// 0 records "never faster on this backend" (path disabled).
-  void set_small_svd_threshold(std::string_view backend, Precision p,
-                               index_t threshold);
-  [[nodiscard]] std::optional<index_t> small_svd_threshold(std::string_view backend,
-                                                           Precision p) const;
-  [[nodiscard]] index_t small_svd_threshold_or(std::string_view backend, Precision p,
-                                               index_t fallback) const;
-
   [[nodiscard]] std::size_t size() const noexcept {
-    return crossovers_.size() + kernel_configs_.size() + rsvd_defaults_.size() +
-           qr_first_aspects_.size() + small_svd_thresholds_.size() +
-           stage3_crossovers_.size();
+    return thresholds_.size() + kernel_configs_.size() + rsvd_defaults_.size();
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
@@ -199,12 +191,9 @@ class TuningTable {
   static const V* lookup(const std::map<Key, V>& entries, std::string_view backend,
                          Precision p);
 
-  std::map<Key, index_t> crossovers_;
+  std::map<std::tuple<Threshold, std::string, Precision>, index_t> thresholds_;
   std::map<Key, qr::KernelConfig> kernel_configs_;
   std::map<Key, RsvdDefaults> rsvd_defaults_;
-  std::map<Key, double> qr_first_aspects_;
-  std::map<Key, index_t> small_svd_thresholds_;
-  std::map<Key, index_t> stage3_crossovers_;
 };
 
 /// Run tune_batch_crossover and deposit the learned crossover into `table`
@@ -215,10 +204,10 @@ index_t learn_batch_crossover(TuningTable& table, ka::Backend& backend,
                               std::size_t problems_per_size = 8, int repeats = 2,
                               const SvdConfig& config = {}, std::uint64_t seed = 42);
 
-/// BatchConfig whose crossover_n (and Phase-1 kernels and QR-first aspect
-/// threshold, when measured) come from the table — the measurement-backed
-/// default for `backend`. Fields of `base` not covered by the table are
-/// preserved.
+/// BatchConfig whose crossover_n (and Phase-1 kernels, small_svd threshold
+/// and Stage-3 crossover, when measured) come from the table — the
+/// measurement-backed default for `backend`. Fields of `base` not covered
+/// by the table are preserved.
 [[nodiscard]] BatchConfig tuned_batch_config(const TuningTable& table,
                                              const ka::Backend& backend, Precision p,
                                              BatchConfig base = {});
@@ -261,47 +250,6 @@ TuningTable::RsvdDefaults learn_rsvd(TuningTable& table, ka::Backend& backend,
                                      double accuracy_budget = 1.5,
                                      std::uint64_t seed = 42);
 
-/// Sentinel qr_first_aspect meaning "the QR-first tall path never won on
-/// this backend — keep the generic path for every aspect ratio". Finite so
-/// it serializes cleanly through the text table.
-inline constexpr double kQrFirstAspectNever = 1e9;
-
-/// One probed aspect ratio of the QR-first tuner.
-struct QrFirstSample {
-  double aspect = 0.0;          ///< probed m/n ratio
-  index_t m = 0;                ///< rows actually probed (aspect * n, tall)
-  double generic_seconds = 0.0; ///< Thin solve, accumulate-through path
-  double qr_first_seconds = 0.0;///< Thin solve, QR-first path forced
-};
-
-struct QrFirstAspectResult {
-  /// Learned SvdConfig::qr_first_aspect: the smallest probed aspect from
-  /// which the QR-first path won at EVERY probed aspect up to the largest
-  /// (a noisy win below a real loss does not lower the threshold), or
-  /// kQrFirstAspectNever when it never won.
-  double aspect = kQrFirstAspectNever;
-  std::vector<QrFirstSample> samples;  ///< ascending in aspect
-};
-
-/// Learn the QR-first aspect threshold for this backend and storage type:
-/// time a Thin-job solve of a random (aspect * n) x n matrix under both
-/// paths (forced via SvdConfig::qr_first_aspect) at each probed aspect,
-/// best of `repeats` runs each. Empty `aspects` probes a default ladder
-/// {1.25, 1.5, 2, 3, 4}. The result's aspect drops into
-/// SvdConfig::qr_first_aspect (tuned_batch_config applies it from a table).
-template <class T>
-[[nodiscard]] QrFirstAspectResult tune_qr_first_aspect(
-    ka::Backend& backend, index_t n = 64, std::vector<double> aspects = {},
-    int repeats = 1, const SvdConfig& config = {}, std::uint64_t seed = 42);
-
-/// Run tune_qr_first_aspect and deposit the learned threshold into `table`
-/// under the backend's name and T's precision. Returns the threshold.
-template <class T>
-double learn_qr_first_aspect(TuningTable& table, ka::Backend& backend,
-                             index_t n = 64, std::vector<double> aspects = {},
-                             int repeats = 1, const SvdConfig& config = {},
-                             std::uint64_t seed = 42);
-
 /// One probed size of the fused tiny-problem tuner.
 struct SmallSvdSample {
   index_t n = 0;                  ///< probed square extent (min dim)
@@ -321,7 +269,7 @@ struct SmallSvdThresholdResult {
 /// Learn the fused tiny-problem threshold for this backend and storage
 /// type: time a Thin-job solve of a random n x n matrix with the fused path
 /// forced (small_svd_threshold = n) vs disabled (0) at each probed size,
-/// best of `repeats` runs each after one untimed warmup. Empty `sizes`
+/// under the shared probe protocol (see tune_batch_crossover). Empty `sizes`
 /// probes {8, 16, 24, 32, 48, 64}. The result's threshold drops into
 /// SvdConfig::small_svd_threshold (tuned_batch_config / tuned_trunc_config
 /// apply it from a table).
@@ -353,17 +301,18 @@ struct Stage3Sample {
 struct Stage3CrossoverResult {
   /// Learned SvdConfig::dc_crossover: the smallest probed extent from which
   /// divide-and-conquer won at EVERY probed size up to the largest (a noisy
-  /// win below a real loss does not lower the crossover — the same
-  /// suffix-win rule as tune_qr_first_aspect), or kStage3CrossoverNever
-  /// when it never won.
+  /// win below a real loss does not lower the crossover — suffix-win, the
+  /// mirror of tune_batch_crossover's prefix-win), or kStage3CrossoverNever
+  /// when it lost at the largest probe.
   index_t crossover = kStage3CrossoverNever;
   std::vector<Stage3Sample> samples;  ///< ascending in n
 };
 
 /// Learn the Stage-3 engine crossover for this backend and storage type:
 /// time a Thin-job solve of a random n x n matrix with each engine forced
-/// (SvdConfig::stage3) at every probed extent, best of `repeats` runs each
-/// after one untimed warmup. Empty `sizes` probes {64, 96, 128, 192}. The
+/// (SvdConfig::stage3) at every probed extent, under the shared probe
+/// protocol (see tune_batch_crossover). Empty `sizes` probes
+/// {64, 96, 128, 192}. The
 /// result's crossover drops into SvdConfig::dc_crossover
 /// (tuned_batch_config / tuned_trunc_config apply it from a table).
 template <class T>
@@ -381,8 +330,8 @@ index_t learn_stage3_crossover(TuningTable& table, ka::Backend& backend,
 
 /// TruncConfig whose oversample/power_iters come from the table's measured
 /// rsvd defaults (exact backend/precision match, then nearest precision,
-/// then `base` unchanged) — and whose Phase-1 kernels come from the
-/// table's autotune winner, like tuned_batch_config.
+/// then `base` unchanged) — and whose per-solve SvdConfig entries (kernels
+/// and thresholds) come from the table exactly as in tuned_batch_config.
 [[nodiscard]] TruncConfig tuned_trunc_config(const TuningTable& table,
                                              const ka::Backend& backend, Precision p,
                                              TruncConfig base = {});

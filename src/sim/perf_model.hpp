@@ -30,9 +30,8 @@ struct SimBreakdown {
   double trailing = 0.0;
   double band2bidiag = 0.0;
   double bidiag2diag = 0.0;
-  /// Singular-vector accumulation (SvdJob::Thin/Full) — including the
-  /// QR-first tall path's backward reflector replay, whose apply-Q
-  /// launches self-attribute here (sim::simulate_qr_first_thin).
+  /// Singular-vector accumulation (SvdJob::Thin/Full): accumulator
+  /// applies and apply-Q replays self-attribute here.
   double vector_acc = 0.0;
   /// Randomized range-finder sketch products (src/rsvd sketch_gemm):
   /// the truncated pipeline's Y = A * Omega and power-iteration GEMMs.

@@ -1,18 +1,19 @@
-/// QR-first tall-path parity suite (core/svd.cpp qr_first_solve):
+/// Tall-route suite (core/svd.cpp): every tall (or, on the lazy transpose,
+/// wide) vector solve factors A = Q R with the replayable panel QR, runs the
+/// square pipeline on R and lifts U = Q * U_R by backward reflector replay.
 ///
-///   * singular values bit-identical to the generic accumulate-through path
-///     across FP16/FP32/FP64 x aspect ratios straddling the threshold x
-///     ValuesOnly/Thin/Full jobs;
+///   * singular values bit-identical to the ValuesOnly solve across
+///     FP16/FP32/FP64 x aspect ratios x Thin/Full jobs;
 ///   * accuracy gates (reconstruction residual and orthogonality defect
-///     <= 50*eps*n) on the COMPOSED U = Q * U_R, tall and wide, Thin and
-///     Full, with and without auto_scale;
-///   * path selection: SvdConfig::qr_first_aspect gates the path, the
-///     report's qr_first flag records it, ValuesOnly never takes it;
-///   * batched: ragged tall/square batches mix paths per problem under all
-///     four schedules, with ErrorPolicy::Isolate containment;
-///   * memory: a 16384 x 256 FP32 Thin solve peaks at O(m_pad * n_pad)
-///     accumulator bytes (matrix_peak_bytes high-water counter), far below
-///     the m_pad^2 buffer the generic path would allocate.
+///     <= 50*eps*n) on the COMPOSED U, tall and wide, Thin and Full, with
+///     and without auto_scale;
+///   * route flag: SvdReport::qr_first marks every tall vector solve and
+///     never a ValuesOnly or square one;
+///   * batched: ragged tall/square batches under all four schedules, with
+///     ErrorPolicy::Isolate containment;
+///   * memory: 16384 x 256 and 8192 x 256 FP32 Thin solves peak at
+///     O(m_pad * n_pad) bytes (matrix_peak_bytes high-water counter), far
+///     below an m_pad^2 accumulator.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +24,6 @@
 #include "common/linalg_ref.hpp"
 #include "core/batch.hpp"
 #include "core/svd.hpp"
-#include "core/tuner.hpp"
 #include "test_util.hpp"
 #include "tile/tile_layout.hpp"
 
@@ -36,15 +36,9 @@ SvdConfig vec_config(SvdJob job = SvdJob::Thin, int ts = 8) {
   cfg.kernels.tilesize = ts;
   cfg.kernels.colperblock = std::min(8, ts);
   cfg.job = job;
-  // The QR-first shapes here have min(m, n) at or below the default fused
-  // threshold; disable that path so the suite pins the QR-first machinery.
+  // The shapes here have min(m, n) at or below the default fused
+  // threshold; disable that path so the suite pins the tall route.
   cfg.small_svd_threshold = 0;
-  return cfg;
-}
-
-/// The path forced ON (any tall vector solve) or OFF (generic always).
-SvdConfig forced(SvdConfig cfg, bool qr_first) {
-  cfg.qr_first_aspect = qr_first ? 1.0 : core::kQrFirstAspectNever;
   return cfg;
 }
 
@@ -105,117 +99,86 @@ void expect_valid_svd(ConstMatrixView<T> a, const SvdReport& rep, SvdJob job,
 }  // namespace
 
 template <class T>
-class QrFirstTyped : public ::testing::Test {};
+class TallRouteTyped : public ::testing::Test {};
 using StorageTypes = ::testing::Types<Half, float, double>;
-TYPED_TEST_SUITE(QrFirstTyped, StorageTypes);
+TYPED_TEST_SUITE(TallRouteTyped, StorageTypes);
 
-TYPED_TEST(QrFirstTyped, ValuesBitIdenticalAcrossPathsShapesAndJobs) {
-  // The acceptance invariant: whichever path solves a shape, the singular
-  // values are THE SAME BITS — the QR-first panel factorization runs the
-  // identical kernel sequence as the generic tall QR, and the R it hands to
-  // the square pipeline re-pads to the identical working matrix.
+TYPED_TEST(TallRouteTyped, ValuesBitIdenticalToValuesOnlyAcrossShapesAndJobs) {
+  // Vector jobs keep the panel's reflectors and values-only solves drop
+  // them, but both hand the square pipeline the same R on the same n_pad
+  // grid: the singular values are THE SAME BITS for every job.
   const std::pair<index_t, index_t> shapes[] = {
-      {40, 24},   // aspect 1.67, just above the default threshold
-      {48, 32},   // aspect 1.5, just below it
+      {40, 24},   // aspect 1.67
+      {48, 32},   // aspect 1.5
       {96, 24},   // aspect 4
       {24, 64},   // wide (runs on the lazy transpose)
   };
   for (const auto& [m, n] : shapes) {
     const auto a = testutil::convert<TypeParam>(
         testutil::random_matrix(m, n, 900 + static_cast<std::uint64_t>(m * 3 + n)));
+    const auto plain =
+        svd_values_report<TypeParam>(a.view(), vec_config(SvdJob::ValuesOnly));
+    EXPECT_FALSE(plain.qr_first);  // ValuesOnly never composes factors
     for (const SvdJob job : {SvdJob::Thin, SvdJob::Full}) {
-      const auto generic =
-          svd_values_report<TypeParam>(a.view(), forced(vec_config(job), false));
-      const auto qrfirst =
-          svd_values_report<TypeParam>(a.view(), forced(vec_config(job), true));
-      EXPECT_FALSE(generic.qr_first);
-      EXPECT_TRUE(qrfirst.qr_first);
-      ASSERT_EQ(generic.values.size(), qrfirst.values.size());
-      for (std::size_t i = 0; i < generic.values.size(); ++i) {
-        EXPECT_EQ(generic.values[i], qrfirst.values[i])
-            << m << "x" << n << " [" << to_string(job) << "] value " << i;
-      }
-      // And both match the historic values-only fast path bit-for-bit.
-      const auto plain = svd_values_report<TypeParam>(
-          a.view(), forced(vec_config(SvdJob::ValuesOnly), true));
-      EXPECT_FALSE(plain.qr_first);  // ValuesOnly never composes factors
+      const auto rep = svd_values_report<TypeParam>(a.view(), vec_config(job));
+      EXPECT_TRUE(rep.qr_first);
+      ASSERT_EQ(plain.values.size(), rep.values.size());
       for (std::size_t i = 0; i < plain.values.size(); ++i) {
-        EXPECT_EQ(plain.values[i], qrfirst.values[i])
+        EXPECT_EQ(plain.values[i], rep.values[i])
             << m << "x" << n << " [" << to_string(job) << "] vs values-only " << i;
       }
     }
   }
 }
 
-TYPED_TEST(QrFirstTyped, ComposedFactorsPassAccuracyGates) {
+TYPED_TEST(TallRouteTyped, ComposedFactorsPassAccuracyGates) {
   // Residual + orthogonality of the composed U = Q * U_R within 50*eps*n,
-  // tall and wide, Thin and Full — same gates as the generic vector suite.
+  // tall and wide, Thin and Full — same gates as the square vector suite.
   const auto tall = testutil::convert<TypeParam>(testutil::random_matrix(96, 32, 910));
-  const auto tall_thin =
-      svd_values_report<TypeParam>(tall.view(), forced(vec_config(SvdJob::Thin), true));
-  EXPECT_TRUE(tall_thin.qr_first);
-  expect_valid_svd<TypeParam>(tall.view(), tall_thin, SvdJob::Thin, "tall 96x32");
-
-  const auto tall_full = svd_values_report<TypeParam>(
-      tall.view(), forced(vec_config(SvdJob::Full), true));
-  EXPECT_TRUE(tall_full.qr_first);
-  expect_valid_svd<TypeParam>(tall.view(), tall_full, SvdJob::Full, "tall 96x32");
-
   const auto wide = testutil::convert<TypeParam>(testutil::random_matrix(24, 72, 911));
-  const auto wide_thin =
-      svd_values_report<TypeParam>(wide.view(), forced(vec_config(SvdJob::Thin), true));
-  EXPECT_TRUE(wide_thin.qr_first);
-  expect_valid_svd<TypeParam>(wide.view(), wide_thin, SvdJob::Thin, "wide 24x72");
-
-  const auto wide_full = svd_values_report<TypeParam>(
-      wide.view(), forced(vec_config(SvdJob::Full), true));
-  EXPECT_TRUE(wide_full.qr_first);
-  expect_valid_svd<TypeParam>(wide.view(), wide_full, SvdJob::Full, "wide 24x72");
+  for (const SvdJob job : {SvdJob::Thin, SvdJob::Full}) {
+    const auto t = svd_values_report<TypeParam>(tall.view(), vec_config(job));
+    EXPECT_TRUE(t.qr_first);
+    expect_valid_svd<TypeParam>(tall.view(), t, job, "tall 96x32");
+    const auto w = svd_values_report<TypeParam>(wide.view(), vec_config(job));
+    EXPECT_TRUE(w.qr_first);
+    expect_valid_svd<TypeParam>(wide.view(), w, job, "wide 24x72");
+  }
 }
 
-TYPED_TEST(QrFirstTyped, PaddedTallShapeStaysValid) {
+TYPED_TEST(TallRouteTyped, PaddedTallShapeStaysValid) {
   // Extents that do not divide the tile grid: padding isolation must hold
-  // through panel QR, the recursive R solve, AND the backward replay.
+  // through panel QR, the R solve, AND the backward replay.
   const auto a = testutil::convert<TypeParam>(testutil::random_matrix(70, 18, 912));
-  const auto rep = svd_values_report<TypeParam>(
-      a.view(), forced(vec_config(SvdJob::Thin, 16), true));
-  EXPECT_TRUE(rep.qr_first);
-  expect_valid_svd<TypeParam>(a.view(), rep, SvdJob::Thin, "padded 70x18 ts16");
-
-  const auto full = svd_values_report<TypeParam>(
-      a.view(), forced(vec_config(SvdJob::Full, 16), true));
-  EXPECT_TRUE(full.qr_first);
-  expect_valid_svd<TypeParam>(a.view(), full, SvdJob::Full, "padded 70x18 ts16");
+  for (const SvdJob job : {SvdJob::Thin, SvdJob::Full}) {
+    const auto rep = svd_values_report<TypeParam>(a.view(), vec_config(job, 16));
+    EXPECT_TRUE(rep.qr_first);
+    expect_valid_svd<TypeParam>(a.view(), rep, job, "padded 70x18 ts16");
+  }
 }
 
-TEST(QrFirst, DefaultAspectSelectsThePath) {
-  // The default threshold (1.6) routes 2:1 tall vector solves through
-  // QR-first, leaves 1.5:1 and square ones generic, and never applies to
-  // ValuesOnly (the historic fast path stays byte-identical).
-  const auto tall = testutil::convert<float>(testutil::random_matrix(48, 24, 920));
-  EXPECT_TRUE(svd_values_report<float>(tall.view(), vec_config()).qr_first);
-  EXPECT_FALSE(
-      svd_values_report<float>(tall.view(), vec_config(SvdJob::ValuesOnly)).qr_first);
-
-  const auto mild = testutil::convert<float>(testutil::random_matrix(48, 32, 921));
-  EXPECT_FALSE(svd_values_report<float>(mild.view(), vec_config()).qr_first);
-
+TEST(TallRoute, FlagMarksEveryTallVectorSolve) {
+  // Any aspect above 1 takes the route for vector jobs; ValuesOnly and
+  // square solves never compose factors by replay.
+  for (const auto& [m, n] : {std::pair<index_t, index_t>{48, 24}, {48, 32}, {33, 32}}) {
+    const auto tall = testutil::convert<float>(testutil::random_matrix(m, n, 920));
+    EXPECT_TRUE(svd_values_report<float>(tall.view(), vec_config()).qr_first)
+        << m << "x" << n;
+    EXPECT_FALSE(
+        svd_values_report<float>(tall.view(), vec_config(SvdJob::ValuesOnly)).qr_first)
+        << m << "x" << n;
+  }
   const auto square = testutil::convert<float>(testutil::random_matrix(32, 32, 922));
   EXPECT_FALSE(svd_values_report<float>(square.view(), vec_config()).qr_first);
-
-  // Invalid thresholds are rejected up front.
-  SvdConfig bad = vec_config();
-  bad.qr_first_aspect = 0.0;
-  EXPECT_THROW((void)svd_values_report<float>(tall.view(), bad), Error);
 }
 
-TEST(QrFirst, AutoScaleComposesScaleInvariantFactors) {
+TEST(TallRoute, AutoScaleComposesScaleInvariantFactors) {
   auto ad = testutil::random_matrix(80, 24, 923);
   for (index_t j = 0; j < ad.cols(); ++j) {
     for (index_t i = 0; i < ad.rows(); ++i) ad(i, j) *= 64.0;
   }
   const auto a = testutil::convert<float>(ad);
-  auto cfg = forced(vec_config(), true);
+  auto cfg = vec_config();
   cfg.auto_scale = true;
   const auto rep = svd_values_report<float>(a.view(), cfg);
   EXPECT_TRUE(rep.qr_first);
@@ -223,7 +186,7 @@ TEST(QrFirst, AutoScaleComposesScaleInvariantFactors) {
   expect_valid_svd<float>(a.view(), rep, SvdJob::Thin, "auto-scaled 80x24");
 }
 
-TEST(QrFirst, DeterministicAcrossThreadCounts) {
+TEST(TallRoute, DeterministicAcrossThreadCounts) {
   const auto a = testutil::convert<float>(testutil::random_matrix(80, 24, 924));
   ka::CpuBackend be1(1);
   ka::CpuBackend be4(4);
@@ -238,11 +201,11 @@ TEST(QrFirst, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(ref::fro_diff(r1.vt.view(), r4.vt.view()), 0.0);
 }
 
-TEST(QrFirstBatched, RaggedBatchMixesPathsUnderEverySchedule) {
-  // A ragged batch mixing tall (QR-first), square and mildly-tall (generic)
-  // problems plus one poisoned matrix: per-problem path choice under all
-  // four schedules, Isolate containment, and bit-identity with the solo
-  // solves whichever schedule ran.
+TEST(TallRouteBatched, RaggedBatchMixesRoutesUnderEverySchedule) {
+  // A ragged batch mixing tall, square and wide problems plus one poisoned
+  // matrix: per-problem route choice under all four schedules, Isolate
+  // containment, and bit-identity with the solo solves whichever schedule
+  // ran.
   std::vector<Matrix<float>> problems;
   problems.push_back(testutil::convert<float>(testutil::random_matrix(96, 24, 930)));
   problems.push_back(testutil::convert<float>(testutil::random_matrix(32, 32, 931)));
@@ -287,11 +250,11 @@ TEST(QrFirstBatched, RaggedBatchMixesPathsUnderEverySchedule) {
   }
 }
 
-TEST(QrFirst, PeakAccumulatorMemoryIsPanelSizedAt16384x256) {
-  // The acceptance case: a 16384 x 256 FP32 Thin solve must take the
-  // QR-first path and keep peak live Matrix bytes at O(m_pad * n_pad) —
-  // the generic path's m_pad^2 compute-precision accumulator ALONE would
-  // be 1 GiB, an order of magnitude past this budget.
+TEST(TallRoute, PeakAccumulatorMemoryIsPanelSizedAt16384x256) {
+  // The acceptance case: a 16384 x 256 FP32 Thin solve must keep peak live
+  // Matrix bytes at O(m_pad * n_pad) — an m_pad^2 compute-precision
+  // accumulator ALONE would be 1 GiB, an order of magnitude past this
+  // budget.
   const index_t m = 16384;
   const index_t n = 256;
   rnd::Xoshiro256 rng(940);
@@ -309,8 +272,7 @@ TEST(QrFirst, PeakAccumulatorMemoryIsPanelSizedAt16384x256) {
   // Budget: a generous constant number of m_pad x n_pad panels (storage
   // panel, tau blocks, composition target, double-held report factors,
   // plus every n_pad-sized buffer) — measured peak is ~86 MB against the
-  // 168 MB budget, while the generic path's square accumulator alone
-  // (m_pad^2 floats) is ~1074 MB.
+  // 168 MB budget, while an m_pad^2 float accumulator alone is ~1074 MB.
   const std::size_t budget = static_cast<std::size_t>(40 * mpad * npad);
   ASSERT_LT(budget, static_cast<std::size_t>(mpad * mpad) * sizeof(float));
 
@@ -328,12 +290,11 @@ TEST(QrFirst, PeakAccumulatorMemoryIsPanelSizedAt16384x256) {
                           << budget / 1e6 << " MB O(m_pad*n_pad) budget";
 }
 
-TEST(QrFirst, GenericTallPathPeakMemoryIsPanelSized) {
-  // The generic (below-aspect) tall vector path now also composes U by
-  // blocked reflector replay: forced OFF the QR-first path, an 8192 x 256
-  // FP32 Thin solve must stay within the O(m_pad * n_pad) budget — the
-  // historic eager-mirror m_pad^2 compute-precision accumulator ALONE
-  // (8192^2 floats, ~268 MB) would blow it.
+TEST(TallRoute, PeakMemoryIsPanelSizedAt8192x256) {
+  // A second shape, with full accuracy gates: an 8192 x 256 FP32 Thin
+  // solve must stay within the O(m_pad * n_pad) budget — the historic
+  // eager-mirror m_pad^2 compute-precision accumulator ALONE (8192^2
+  // floats, ~268 MB) would blow it.
   const index_t m = 8192;
   const index_t n = 256;
   rnd::Xoshiro256 rng(941);
@@ -344,7 +305,6 @@ TEST(QrFirst, GenericTallPathPeakMemoryIsPanelSized) {
 
   SvdConfig cfg;
   cfg.job = SvdJob::Thin;
-  cfg.qr_first_aspect = core::kQrFirstAspectNever;  // pin the generic path
   const index_t ts = cfg.kernels.tilesize;
   const index_t mpad = tile::TileLayout::make(m, ts).n;
   const index_t npad = tile::TileLayout::make(n, ts).n;
@@ -356,14 +316,14 @@ TEST(QrFirst, GenericTallPathPeakMemoryIsPanelSized) {
   const auto rep = svd_values_report<float>(a.view(), cfg);
   const std::size_t peak = matrix_peak_bytes();
 
-  EXPECT_FALSE(rep.qr_first);
-  expect_valid_svd<float>(a.view(), rep, SvdJob::Thin, "generic tall peak");
+  EXPECT_TRUE(rep.qr_first);
+  expect_valid_svd<float>(a.view(), rep, SvdJob::Thin, "8192x256 peak");
   EXPECT_GE(peak, before);
   EXPECT_LE(peak, budget) << "peak " << peak / 1e6 << " MB exceeds the "
                           << budget / 1e6 << " MB O(m_pad*n_pad) budget";
 }
 
-TEST(QrFirst, HighWaterCounterTracksLiveMatrices) {
+TEST(TallRoute, HighWaterCounterTracksLiveMatrices) {
   const std::size_t live0 = matrix_live_bytes();
   matrix_reset_peak();
   EXPECT_EQ(matrix_peak_bytes(), live0);
@@ -376,40 +336,4 @@ TEST(QrFirst, HighWaterCounterTracksLiveMatrices) {
   EXPECT_GE(matrix_peak_bytes(), live0 + 64 * 64 * sizeof(double));  // peak sticks
   matrix_reset_peak();
   EXPECT_EQ(matrix_peak_bytes(), live0);
-}
-
-TEST(QrFirst, TunerLearnsAndPersistsAspect) {
-  // learn_qr_first_aspect measures both paths, deposits a threshold into
-  // the table, and tuned_batch_config plumbs it back into SvdConfig.
-  ka::CpuBackend backend(2);
-  SvdConfig probe_cfg;
-  probe_cfg.kernels.tilesize = 8;
-  probe_cfg.kernels.colperblock = 8;
-  const auto result =
-      core::tune_qr_first_aspect<float>(backend, 24, {2.0, 4.0}, 1, probe_cfg);
-  ASSERT_EQ(result.samples.size(), 2u);
-  for (const auto& s : result.samples) {
-    EXPECT_GT(s.generic_seconds, 0.0);
-    EXPECT_GT(s.qr_first_seconds, 0.0);
-    EXPECT_GT(s.m, 24);
-  }
-  // Learned value is one of the probed aspects or the "never" sentinel.
-  EXPECT_TRUE(result.aspect == 2.0 || result.aspect == 4.0 ||
-              result.aspect == core::kQrFirstAspectNever);
-
-  core::TuningTable table;
-  const double learned = core::learn_qr_first_aspect<float>(
-      table, backend, 24, {2.0, 4.0}, 1, probe_cfg);
-  ASSERT_TRUE(table.qr_first_aspect("cpu", Precision::FP32).has_value());
-  EXPECT_EQ(*table.qr_first_aspect("cpu", Precision::FP32), learned);
-  const BatchConfig tuned = core::tuned_batch_config(table, backend, Precision::FP32);
-  EXPECT_EQ(tuned.svd.qr_first_aspect, learned);
-  // FP16 falls back to the FP32 entry; unknown backends keep the default.
-  EXPECT_EQ(core::tuned_batch_config(table, backend, Precision::FP16)
-                .svd.qr_first_aspect,
-            learned);
-  ka::SerialBackend serial;
-  EXPECT_EQ(core::tuned_batch_config(table, serial, Precision::FP32)
-                .svd.qr_first_aspect,
-            SvdConfig{}.qr_first_aspect);
 }

@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
-#include <limits>
 #include <locale>
 #include <sstream>
 #include <string>
@@ -237,29 +236,62 @@ TEST(TuningTable, GarbageTableLoadsAsEmptyWithWarning) {
   EXPECT_NE(warning.find("loading as empty"), std::string::npos) << warning;
 }
 
-TEST(TuningTable, QrFirstAspectRoundTripsWithFallbacks) {
-  core::TuningTable table;
-  table.set_qr_first_aspect("cpu", Precision::FP32, 1.5);
-  // An irrational-looking measured value must survive the text round trip
-  // exactly (the aspect is the format's only floating-point field).
-  table.set_qr_first_aspect("gpu-x", Precision::FP16, 1.6180339887498949);
-  table.set_qr_first_aspect("serial", Precision::FP64, core::kQrFirstAspectNever);
-  const std::string path = temp_path("unisvd_tuning_qr_first.txt");
-  ASSERT_TRUE(table.save(path));
+TEST(TuningTable, LoadsParentFormatTablesAndWritesThemUnchanged) {
+  // A table written before the retired `qr_first` directive was dropped
+  // holds all six directives, plus a write torn inside that directive's
+  // token. It must load with no malformed lines and every other entry
+  // intact: retired and unknown directives are skipped silently.
+  std::istringstream old_table(
+      "# unisvd tuning table v1\n"
+      "crossover cpu FP32 160\n"
+      "kernels cpu FP32 16 8 2 0\n"
+      "rsvd cpu FP32 12 1\n"
+      "qr_first cpu FP32 1.5\n"
+      "small_svd cpu FP32 48\n"
+      "stage3 cpu FP32 256\n"
+      "qr_fir");
+  std::size_t malformed = 99;
+  const auto loaded = core::TuningTable::read(old_table, &malformed);
+  EXPECT_EQ(malformed, 0u);
+  EXPECT_EQ(loaded.size(), 5u);
+  using Threshold = core::TuningTable::Threshold;
+  EXPECT_EQ(loaded.batch_crossover("cpu", Precision::FP32), 160);
+  EXPECT_EQ(loaded.get(Threshold::SmallSvd, "cpu", Precision::FP32), 48);
+  EXPECT_EQ(loaded.get(Threshold::Stage3, "cpu", Precision::FP32), 256);
+  ASSERT_TRUE(loaded.kernels("cpu", Precision::FP32).has_value());
+  EXPECT_EQ(loaded.kernels("cpu", Precision::FP32)->splitk, 2);
+  ASSERT_TRUE(loaded.rsvd("cpu", Precision::FP32).has_value());
+  EXPECT_EQ(loaded.rsvd("cpu", Precision::FP32)->oversample, 12);
 
-  const auto loaded = core::TuningTable::load(path);
-  EXPECT_EQ(loaded.size(), 3u);
-  ASSERT_TRUE(loaded.qr_first_aspect("cpu", Precision::FP32).has_value());
-  EXPECT_DOUBLE_EQ(*loaded.qr_first_aspect("cpu", Precision::FP32), 1.5);
-  ASSERT_TRUE(loaded.qr_first_aspect("gpu-x", Precision::FP16).has_value());
-  EXPECT_EQ(*loaded.qr_first_aspect("gpu-x", Precision::FP16),
-            1.6180339887498949);
-  // The "never faster" sentinel survives the text round trip.
-  EXPECT_DOUBLE_EQ(*loaded.qr_first_aspect("serial", Precision::FP64),
-                   core::kQrFirstAspectNever);
-  // Nearest-precision fallback and caller-default rules match the others.
-  EXPECT_DOUBLE_EQ(loaded.qr_first_aspect_or("cpu", Precision::FP16, 9.0), 1.5);
-  EXPECT_DOUBLE_EQ(loaded.qr_first_aspect_or("gpu-sim", Precision::FP32, 9.0), 9.0);
+  // write() keeps the format's directive order (crossover first, small_svd
+  // and stage3 after rsvd) and key order whatever order the entries were
+  // set in, so older readers get exactly the bytes they always got.
+  core::TuningTable table;
+  table.set(Threshold::Stage3, "gpu-x", Precision::FP16, 256);
+  table.set(Threshold::SmallSvd, "serial", Precision::FP64, 0);
+  table.set_batch_crossover("serial", Precision::FP16, 0);
+  table.set_batch_crossover("cpu", Precision::FP32, 160);
+  table.set(Threshold::Stage3, "cpu", Precision::FP32, core::kStage3CrossoverNever);
+  qr::KernelConfig kc;
+  kc.tilesize = 16;
+  kc.colperblock = 8;
+  kc.splitk = 2;
+  kc.fused = false;
+  table.set_kernels("cpu", Precision::FP32, kc);
+  table.set_rsvd("cpu", Precision::FP32, core::TuningTable::RsvdDefaults{12, 1});
+  table.set(Threshold::SmallSvd, "cpu", Precision::FP32, 48);
+  std::ostringstream os;
+  table.write(os);
+  EXPECT_EQ(os.str(),
+            "# unisvd tuning table v1\n"
+            "crossover cpu FP32 160\n"
+            "crossover serial FP16 0\n"
+            "kernels cpu FP32 16 8 2 0\n"
+            "rsvd cpu FP32 12 1\n"
+            "small_svd cpu FP32 48\n"
+            "small_svd serial FP64 0\n"
+            "stage3 cpu FP32 1000000000\n"
+            "stage3 gpu-x FP16 256\n");
 }
 
 TEST(TuningTable, RejectsInvalidEntries) {
@@ -278,11 +310,14 @@ TEST(TuningTable, RejectsInvalidEntries) {
   EXPECT_THROW(
       table.set_rsvd("a b", Precision::FP32, core::TuningTable::RsvdDefaults{}),
       Error);
-  EXPECT_THROW(table.set_qr_first_aspect("cpu", Precision::FP32, 0.0), Error);
-  EXPECT_THROW(table.set_qr_first_aspect("cpu", Precision::FP32,
-                                         std::numeric_limits<double>::infinity()),
-               Error);
-  EXPECT_THROW(table.set_qr_first_aspect("a b", Precision::FP32, 2.0), Error);
+  // Every threshold shares the one rule: values >= 0, clean backend names.
+  for (const auto knob : {core::TuningTable::Threshold::BatchCrossover,
+                          core::TuningTable::Threshold::SmallSvd,
+                          core::TuningTable::Threshold::Stage3}) {
+    EXPECT_THROW(table.set(knob, "cpu", Precision::FP32, -1), Error);
+    EXPECT_THROW(table.set(knob, "a b", Precision::FP32, 8), Error);
+  }
+  EXPECT_TRUE(table.empty());
 }
 
 TEST(TuningTable, RsvdEntriesRoundTripWithFallbacks) {
@@ -501,34 +536,33 @@ TEST(TuningDefaultPath, LearnPersistsToDefaultLocationCreatingDirectories) {
 // ---------------------------------------------------------------------------
 
 TEST(TuningTable, SmallSvdThresholdRoundTripsWithFallbacks) {
+  using Threshold = core::TuningTable::Threshold;
   core::TuningTable table;
-  table.set_small_svd_threshold("cpu", Precision::FP32, 48);
-  table.set_small_svd_threshold("serial", Precision::FP64, 0);  // "never faster"
+  table.set(Threshold::SmallSvd, "cpu", Precision::FP32, 48);
+  table.set(Threshold::SmallSvd, "serial", Precision::FP64, 0);  // "never faster"
   const std::string path = temp_path("unisvd_tuning_small_svd.txt");
   ASSERT_TRUE(table.save(path));
 
   const auto loaded = core::TuningTable::load(path);
   EXPECT_EQ(loaded.size(), 2u);
-  const auto hit = loaded.small_svd_threshold("cpu", Precision::FP32);
+  const auto hit = loaded.get(Threshold::SmallSvd, "cpu", Precision::FP32);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 48);
   // 0 is a real entry ("path disabled"), not a missing one.
-  ASSERT_TRUE(loaded.small_svd_threshold("serial", Precision::FP64).has_value());
-  EXPECT_EQ(*loaded.small_svd_threshold("serial", Precision::FP64), 0);
+  ASSERT_TRUE(loaded.get(Threshold::SmallSvd, "serial", Precision::FP64).has_value());
+  EXPECT_EQ(*loaded.get(Threshold::SmallSvd, "serial", Precision::FP64), 0);
+  // The same fields under another knob are a different entry.
+  EXPECT_FALSE(loaded.get(Threshold::Stage3, "cpu", Precision::FP32).has_value());
   // Nearest-precision fallback (FP16 prefers the FP32 entry) and
   // caller-default rules match the other directives.
-  EXPECT_EQ(loaded.small_svd_threshold_or("cpu", Precision::FP16, 999), 48);
-  EXPECT_EQ(loaded.small_svd_threshold_or("gpu-sim", Precision::FP32, 999), 999);
-
-  // Invalid entries are refused up front, like every other directive.
-  EXPECT_THROW(table.set_small_svd_threshold("cpu", Precision::FP32, -1), Error);
-  EXPECT_THROW(table.set_small_svd_threshold("a b", Precision::FP32, 8), Error);
+  EXPECT_EQ(loaded.get_or(Threshold::SmallSvd, "cpu", Precision::FP16, 999), 48);
+  EXPECT_EQ(loaded.get_or(Threshold::SmallSvd, "gpu-sim", Precision::FP32, 999), 999);
 
   // tuned_batch_config / tuned_trunc_config drop the measured threshold
   // into the SvdConfig the solvers consult.
   ka::CpuBackend be(2);
   core::TuningTable cpu_table;
-  cpu_table.set_small_svd_threshold(be.name(), Precision::FP32, 24);
+  cpu_table.set(Threshold::SmallSvd, be.name(), Precision::FP32, 24);
   EXPECT_EQ(core::tuned_batch_config(cpu_table, be, Precision::FP32)
                 .svd.small_svd_threshold,
             24);
@@ -545,8 +579,9 @@ TEST(Tuner, LearnSmallSvdThresholdFeedsTable) {
   core::TuningTable table;
   const index_t learned =
       core::learn_small_svd_threshold<float>(table, be, {8, 16}, 1, cfg);
-  ASSERT_TRUE(table.small_svd_threshold(be.name(), Precision::FP32).has_value());
-  EXPECT_EQ(*table.small_svd_threshold(be.name(), Precision::FP32), learned);
+  using Threshold = core::TuningTable::Threshold;
+  ASSERT_TRUE(table.get(Threshold::SmallSvd, be.name(), Precision::FP32).has_value());
+  EXPECT_EQ(*table.get(Threshold::SmallSvd, be.name(), Precision::FP32), learned);
   // Prefix-win over the probed ladder: the learned threshold is a probed
   // size or 0 (the fused path lost at the smallest probe).
   EXPECT_TRUE(learned == 0 || learned == 8 || learned == 16);
@@ -598,18 +633,19 @@ class GlobalLocaleGuard {
 }  // namespace
 
 TEST(TuningTable, RoundTripsUnderCommaDecimalLocale) {
-  // Under a de_DE-style global locale an un-imbued ostream renders 1.5 as
-  // "1,5" and 1024 as "1.024", and an un-imbued istream stops a double
-  // parse at the '.' — both corrupting the table. write() and read() must
-  // imbue std::locale::classic() on their own streams, so the round trip
-  // (and explicitly imbued caller streams) survive any global locale.
+  // Under a de_DE-style global locale an un-imbued ostream renders 1024 as
+  // "1.024" and 1000000000 as "1.000.000.000", and an un-imbued istream
+  // then reads them back as 1 — corrupting the table. write() and read()
+  // must imbue std::locale::classic() on their own streams, so the round
+  // trip (and explicitly imbued caller streams) survive any global locale.
   GlobalLocaleGuard guard;
+  using Threshold = core::TuningTable::Threshold;
 
   core::TuningTable table;
   table.set_batch_crossover("cpu", Precision::FP32, 1024);  // grouping bait
-  table.set_qr_first_aspect("cpu", Precision::FP32, 1.5);   // decimal bait
-  table.set_qr_first_aspect("gpu-x", Precision::FP16, 1.6180339887498949);
-  table.set_small_svd_threshold("cpu", Precision::FP32, 32);
+  table.set(Threshold::Stage3, "gpu-x", Precision::FP16,
+            core::kStage3CrossoverNever);  // grouping bait, 10 digits
+  table.set(Threshold::SmallSvd, "cpu", Precision::FP32, 32);
   qr::KernelConfig kc;
   kc.tilesize = 16;
   kc.colperblock = 8;
@@ -623,9 +659,10 @@ TEST(TuningTable, RoundTripsUnderCommaDecimalLocale) {
   const std::string text = os.str();
   EXPECT_EQ(text.find(','), std::string::npos)
       << "comma leaked into the table text:\n" << text;
-  EXPECT_NE(text.find("1024"), std::string::npos)
+  EXPECT_NE(text.find("crossover cpu FP32 1024\n"), std::string::npos)
       << "crossover was thousands-grouped:\n" << text;
-  EXPECT_NE(text.find("1.5"), std::string::npos) << text;
+  EXPECT_NE(text.find("stage3 gpu-x FP16 1000000000\n"), std::string::npos)
+      << "stage3 sentinel was thousands-grouped:\n" << text;
 
   std::istringstream is(text);
   is.imbue(std::locale(std::locale::classic(), new CommaNumpunct));
@@ -634,10 +671,9 @@ TEST(TuningTable, RoundTripsUnderCommaDecimalLocale) {
   EXPECT_EQ(malformed, 0u);
   EXPECT_EQ(loaded.size(), table.size());
   EXPECT_EQ(loaded.batch_crossover_or("cpu", Precision::FP32, 0), 1024);
-  EXPECT_DOUBLE_EQ(loaded.qr_first_aspect_or("cpu", Precision::FP32, 0.0), 1.5);
-  EXPECT_EQ(*loaded.qr_first_aspect("gpu-x", Precision::FP16),
-            1.6180339887498949);
-  EXPECT_EQ(loaded.small_svd_threshold_or("cpu", Precision::FP32, 0), 32);
+  EXPECT_EQ(loaded.get(Threshold::Stage3, "gpu-x", Precision::FP16),
+            core::kStage3CrossoverNever);
+  EXPECT_EQ(loaded.get_or(Threshold::SmallSvd, "cpu", Precision::FP32, 0), 32);
   EXPECT_EQ(loaded.kernels_or("cpu", Precision::FP32, qr::KernelConfig{}).tilesize,
             16);
 
@@ -647,7 +683,8 @@ TEST(TuningTable, RoundTripsUnderCommaDecimalLocale) {
   const auto from_file = core::TuningTable::load(path);
   EXPECT_EQ(from_file.size(), table.size());
   EXPECT_EQ(from_file.batch_crossover_or("cpu", Precision::FP32, 0), 1024);
-  EXPECT_DOUBLE_EQ(from_file.qr_first_aspect_or("cpu", Precision::FP32, 0.0), 1.5);
+  EXPECT_EQ(from_file.get(Threshold::Stage3, "gpu-x", Precision::FP16),
+            core::kStage3CrossoverNever);
 }
 
 TEST(TuningTable, ConcurrentLearnAndSaveNeverCorruptTheFile) {

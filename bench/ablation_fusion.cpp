@@ -65,7 +65,7 @@ double real_seconds(index_t n, bool fused) {
   for (index_t j = 0; j < n; ++j) {
     for (index_t i = 0; i < n; ++i) work(i, j) = static_cast<float>(probe(i, j));
   }
-  Matrix<float> tau(n / 32, 32, 0.0f);
+  Matrix<float> tau(qr::band_tau_rows(n / 32), 32, 0.0f);
   ka::CpuBackend be;
   // Paper §3.4 protocol, scaled down for the CPU backend.
   return benchutil::measure_seconds(

@@ -43,7 +43,8 @@ struct Fixture {
   std::unique_ptr<ka::Backend> be;
 
   Fixture(index_t nt, int ts, int cpb, int splitk, bool simd = false)
-      : w(nt * ts, nt * ts), tau(nt, ts, T(0)), be(make_backend(simd)) {
+      : w(nt * ts, nt * ts), tau(qr::band_tau_rows(nt), ts, T(0)),
+        be(make_backend(simd)) {
     cfg.tilesize = ts;
     cfg.colperblock = cpb;
     cfg.splitk = splitk;

@@ -51,7 +51,7 @@ double real_band_reduction_seconds(index_t n, int ts, int cpb) {
   for (index_t j = 0; j < n; ++j) {
     for (index_t i = 0; i < n; ++i) work(i, j) = static_cast<float>(probe(i, j));
   }
-  Matrix<float> tau(layout.ntiles, ts, 0.0f);
+  Matrix<float> tau(qr::band_tau_rows(layout.ntiles), ts, 0.0f);
   ka::CpuBackend be;
   // Paper §3.4 protocol (scaled down): batched runs, repeat to a time
   // budget, best batch average. Re-runs reuse the factored matrix, which

@@ -199,14 +199,15 @@ class MatrixView {
     return MatrixView(data_, rows_, cols_, ld_, !trans_);
   }
 
-  /// Rectangular sub-view anchored at logical (i0, j0) of this view.
+  /// Rectangular sub-view anchored at logical (i0, j0) of this view. A
+  /// null view (the trace-only schedules) yields null sub-views.
   [[nodiscard]] MatrixView block(index_t i0, index_t j0, index_t nrows,
                                  index_t ncols) const noexcept {
-    if (!trans_) {
-      return MatrixView(data_ + i0 + j0 * ld_, nrows, ncols, ld_, false);
-    }
     // Logical (i0, j0) of the transposed view is storage (j0, i0).
-    return MatrixView(data_ + j0 + i0 * ld_, ncols, nrows, ld_, true);
+    const index_t off = trans_ ? j0 + i0 * ld_ : i0 + j0 * ld_;
+    T* origin = data_ == nullptr ? nullptr : data_ + off;
+    return trans_ ? MatrixView(origin, ncols, nrows, ld_, true)
+                  : MatrixView(origin, nrows, ncols, ld_, false);
   }
 
  private:

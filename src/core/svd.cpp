@@ -39,14 +39,6 @@ void copy_scaled(ConstMatrixView<T> src, Matrix<T>& dst, double scale) {
   }
 }
 
-/// Identity-seed a square compute-precision accumulator.
-template <class CT>
-Matrix<CT> identity(index_t n) {
-  Matrix<CT> out(n, n, CT(0));
-  for (index_t i = 0; i < n; ++i) out(i, i) = CT(1);
-  return out;
-}
-
 /// Pick `count` rows of `acc` (in order) whose mass lies in the real
 /// coordinate range [0, real) — i.e. rows that are singular vectors of the
 /// embedded problem rather than of the zero padding. Padding never mixes
@@ -84,10 +76,10 @@ std::vector<index_t> select_real_rows(MatrixView<CT> acc, index_t real,
 /// Stream the composition U = Q * [U_r; I_completion] through the backward
 /// reflector replay in n_pad-column slabs: each slab is seeded (the small
 /// factor's columns for j < n via `seed_col`, the identity for the Full
-/// job's completion range j in [n, m)), replayed through panel_apply_q,
-/// and extracted into `dest` before the next slab is seeded — so no job
-/// ever materializes an m_pad x m_pad working set; peak composition memory
-/// is O(m_pad * n_pad).
+/// job's completion range j in [n, m)), replayed backward through
+/// qr::replay_sweeps, and extracted into `dest` before the next slab is
+/// seeded — so no job ever materializes an m_pad x m_pad working set; peak
+/// composition memory is O(m_pad * n_pad).
 ///
 /// The panel's padded rows are exactly zero, so every reflector component
 /// there is zero and Q acts as the identity on the padding subspace:
@@ -129,7 +121,8 @@ void compose_left_blocked(ka::Backend& backend, MatrixView<T> panel,
     }
     times.add(ka::Stage::VectorAccumulation, seconds_since(t0));
     MatrixView<CT> slab = comp.view().block(0, 0, mpad, w);
-    qr::panel_apply_q<T, CT>(backend, panel, tau_all, slab, kernels, &times);
+    qr::replay_sweeps<T, CT>(backend, panel, tau_all, slab, qr::ApplyDir::Backward,
+                             0, 0, kernels, &times);
     const auto t1 = std::chrono::steady_clock::now();
     for (index_t j = c0; j < std::min(c0 + w, ucols); ++j) {
       for (index_t i = 0; i < m; ++i) {
@@ -209,18 +202,17 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   const index_t npad = col_layout.n;
   rep.padded_n = npad;
 
-  // Factor accumulators in compute precision, seeded with the identity.
-  // The buffers hold U and V column-major — each singular vector
-  // contiguous — and every stage sees the transposed factors through the
-  // lazy-transpose views ut = U^T, vt = V^T (rows = singular vectors), so
-  // the Stage-2/3 row rotations walk unit-stride memory. Stage 1 applies
-  // its tile reflectors to them through the same launch path as the
-  // trailing updates, Stage 2 mirrors its Givens rotations, Stage 3
-  // accumulates its rotations (QR iteration) or composes its coefficient
-  // matrices (divide-and-conquer) and sorts rows with the values. Both
-  // accumulators are n_pad-sized: a tall input's left factor lives in the
-  // R problem's coordinates and is lifted to the full m rows afterwards by
-  // the blocked reflector replay.
+  // Factor accumulators in compute precision. The buffers hold U and V
+  // column-major — each singular vector contiguous — and Stages 2-3 see
+  // the transposed factors through the lazy-transpose views ut = U^T,
+  // vt = V^T (rows = singular vectors), so their row rotations walk
+  // unit-stride memory. Stage 1 forms U and V after the reduction by
+  // backward replay of its retained reflectors onto the identity, Stage 2
+  // mirrors its Givens rotations, Stage 3 accumulates its rotations (QR
+  // iteration) or composes its coefficient matrices (divide-and-conquer)
+  // and sorts rows with the values. Both accumulators are n_pad-sized: a
+  // tall input's left factor lives in the R problem's coordinates and is
+  // lifted to the full m rows afterwards by the blocked reflector replay.
   Matrix<CT> u_acc;
   Matrix<CT> v_acc;
   MatrixView<CT> ut_view;
@@ -228,8 +220,8 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
   MatrixView<CT>* ut_ptr = nullptr;
   MatrixView<CT>* vt_ptr = nullptr;
   if (want_vectors) {
-    u_acc = identity<CT>(npad);
-    v_acc = identity<CT>(npad);
+    u_acc = Matrix<CT>(npad, npad);
+    v_acc = Matrix<CT>(npad, npad);
     ut_view = u_acc.view().transposed();
     vt_view = v_acc.view().transposed();
     ut_ptr = &ut_view;
@@ -272,10 +264,16 @@ SvdReport svd_values_report(ConstMatrixView<T> a, const SvdConfig& config,
     }
   }
 
-  // Stage 1: dense -> band (tiled QR/LQ sweeps on the backend).
-  Matrix<T> tau(col_layout.ntiles, ts, T(0));
+  // Stage 1: dense -> band (tiled QR/LQ sweeps on the backend), keeping
+  // every sweep's reflectors; vector jobs then form U and V from them.
+  Matrix<T> tau(qr::band_tau_rows(col_layout.ntiles), ts, T(0));
   qr::band_reduction<T>(backend, square.view(), tau.view(), config.kernels,
-                        &rep.stage_times, ut_ptr, vt_ptr);
+                        &rep.stage_times);
+  if (want_vectors) {
+    qr::form_band_factors<T, CT>(backend, square.view(), tau.view(),
+                                 u_acc.view(), v_acc.view(), config.kernels,
+                                 &rep.stage_times);
+  }
 
   // Stage 2: band -> bidiagonal (Givens bulge chasing, compute precision).
   // The time the chase's rotations spend on the Ut/Vt accumulators is

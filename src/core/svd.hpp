@@ -89,12 +89,12 @@ struct SvdConfig {
   /// Singular vectors are scale-invariant, so SvdJob::Thin/Full factors are
   /// unaffected.
   bool auto_scale = false;
-  /// Whether to accumulate singular vectors (see SvdJob). ValuesOnly keeps
-  /// the historic fast path byte-for-byte; Thin/Full thread transform
-  /// accumulation through all three pipeline stages (compute-precision
-  /// accumulators, Stage::VectorAccumulation timing) and fill
-  /// SvdReport::u / SvdReport::vt. Values are bit-identical across jobs
-  /// whenever every job runs the same Stage-3 engine — always true with
+  /// Whether to form singular vectors (see SvdJob). ValuesOnly keeps the
+  /// historic fast path byte-for-byte; Thin/Full replay the Stage-1
+  /// reflectors into U and V, carry them through Stages 2-3
+  /// (compute-precision accumulators, Stage::VectorAccumulation timing)
+  /// and fill SvdReport::u / SvdReport::vt. Values are bit-identical across
+  /// jobs whenever every job runs the same Stage-3 engine — always true with
   /// stage3 == Stage3Solver::QR, and under Auto below the dc_crossover;
   /// once Auto sends a vector job to divide-and-conquer its values agree
   /// with the values-only solve within the accuracy gates, not bitwise.

@@ -87,7 +87,7 @@ TuneResult autotune(ka::Backend& backend, index_t n,
           work(i, j) = static_cast<T>(probe(i, j));
         }
       }
-      Matrix<T> tau(layout.ntiles, cfg.tilesize, T(0));
+      Matrix<T> tau(qr::band_tau_rows(layout.ntiles), cfg.tilesize, T(0));
       const auto t0 = std::chrono::steady_clock::now();
       qr::band_reduction<T>(backend, work.view(), tau.view(), cfg);
       const double dt =

@@ -1,28 +1,19 @@
 #pragma once
 /// \file panel_qr.hpp
 /// Replayable tall-panel QR, built from the SAME GEQRT/TSQRT/UNMQR/TSMQR
-/// kernels (qr_sweep) as the dense pipeline's band reduction:
-///
-///   1. panel_qr_factor runs one column sweep per tile column and keeps
-///      every sweep's OWN tau block, so the factorization is replayable:
-///      the implicit Q can be applied later, in either direction.
-///   2. panel_apply_q replays the sweeps BACKWARD through the
-///      ApplyDir::Backward kernel variants, composing C <- Q * C — the
-///      ORGQR/ORMQR(trans='N') role. This is how both consumers expand a
-///      small projected factor U~ to U = Q * U~ without ever materializing
-///      Q (m_pad x m_pad) explicitly.
+/// kernels (qr_sweep) as the dense pipeline's band reduction.
+/// panel_qr_factor runs one column sweep per tile column and keeps every
+/// sweep's OWN tau block, so the factorization is replayable: replay_sweeps
+/// (qr/band_reduction.hpp) applies the implicit Q later, in either
+/// direction, without ever materializing Q (m_pad x m_pad) explicitly.
 ///
 /// Two pipelines ride this file (which is why it lives in qr/, not rsvd/):
-/// the randomized truncated SVD factors its sketch panels here, and the
+/// the randomized truncated SVD factors its sketch panels here (a forward
+/// replay projects B = Q^T A, a backward replay expands U = Q U~), and the
 /// dense driver's tall route (core/svd.cpp) factors the whole input panel
 /// A = Q R, solves the small R, and — for vector jobs — replays Q onto the
 /// solved left factor, keeping accumulators at m_pad x n_pad instead of
 /// m_pad^2.
-///
-/// An optional compute-precision side target `acc` receives Q^T * acc
-/// interleaved with the factorization (qr_sweep's accumulator hook). The
-/// range finder passes a padded copy of A here, so ONE pass yields both the
-/// factored panel and the projection B = Q_full^T A.
 
 #include "common/matrix.hpp"
 #include "common/precision.hpp"
@@ -43,14 +34,12 @@ namespace unisvd::qr {
 /// column sweeps, retaining every sweep's reflectors: on exit A holds R in
 /// its top triangle and the Householder tails below, and TauAll (at least
 /// panel_tau_rows(ntrows, ntcols) x TILESIZE) holds one tau block per
-/// sweep, stacked by sweep index. When `acc` is non-null (compute
-/// precision, >= A.rows() rows, TILESIZE-multiple columns) it becomes
-/// Q_full^T * acc (qr_sweep's accumulator contract).
+/// sweep, stacked by sweep index — the layout replay_sweeps reads with
+/// row shift 0.
 template <class T>
 void panel_qr_factor(ka::Backend& be, MatrixView<T> A, MatrixView<T> TauAll,
                      const qr::KernelConfig& cfg,
-                     ka::StageTimes* times = nullptr,
-                     MatrixView<compute_t<T>>* acc = nullptr) {
+                     ka::StageTimes* times = nullptr) {
   cfg.validate();
   UNISVD_REQUIRE(A.rows() >= A.cols(),
                  "panel_qr_factor: panel must be tall (rows >= cols)");
@@ -63,45 +52,7 @@ void panel_qr_factor(ka::Backend& be, MatrixView<T> A, MatrixView<T> TauAll,
                  "panel_qr_factor: TauAll workspace too small");
   for (index_t k = 0; k < ntcols; ++k) {
     MatrixView<T> tau = TauAll.block(k * ntrows, 0, ntrows, cfg.tilesize);
-    qr::qr_sweep(be, A, tau, k, k, ntrows, ntcols, cfg, times, acc);
-  }
-}
-
-/// C <- Q * C for the factorization left in (A, TauAll) by panel_qr_factor.
-/// C is compute-precision (or any storage type), >= A.rows() rows and a
-/// TILESIZE multiple of columns. The replay runs the sweeps in reverse —
-/// last panel column first, TSQRT chain before GEQRT, rows descending —
-/// with each kernel in ApplyDir::Backward, exactly inverting the forward
-/// (Q^T) application order.
-template <class TS, class TA>
-void panel_apply_q(ka::Backend& be, MatrixView<TS> A, MatrixView<TS> TauAll,
-                   MatrixView<TA> C, const qr::KernelConfig& cfg,
-                   ka::StageTimes* times = nullptr) {
-  cfg.validate();
-  UNISVD_REQUIRE(A.rows() % cfg.tilesize == 0 && A.cols() % cfg.tilesize == 0,
-                 "panel_apply_q: extents must be multiples of TILESIZE");
-  UNISVD_REQUIRE(C.rows() >= A.rows() && C.cols() % cfg.tilesize == 0,
-                 "panel_apply_q: target must cover the panel rows and be a "
-                 "TILESIZE multiple of columns");
-  const index_t ntrows = A.rows() / cfg.tilesize;
-  const index_t ntcols = A.cols() / cfg.tilesize;
-  UNISVD_REQUIRE(TauAll.rows() >= panel_tau_rows(ntrows, ntcols) &&
-                     TauAll.cols() >= cfg.tilesize,
-                 "panel_apply_q: TauAll workspace too small");
-  const index_t cnt = C.cols() / cfg.tilesize;
-  for (index_t k = ntcols; k-- > 0;) {
-    MatrixView<TS> tau = TauAll.block(k * ntrows, 0, ntrows, cfg.tilesize);
-    if (k + 1 < ntrows) {
-      if (cfg.fused) {
-        qr::tsmqr_apply_q(be, A, tau, C, k, k, k + 1, ntrows, 0, cnt, cfg,
-                          times);
-      } else {
-        for (index_t l = ntrows; l-- > k + 1;) {
-          qr::tsmqr_apply_q(be, A, tau, C, k, k, l, l + 1, 0, cnt, cfg, times);
-        }
-      }
-    }
-    qr::unmqr_apply_q(be, A, tau, C, k, k, 0, cnt, cfg, times);
+    qr::qr_sweep(be, A, tau, k, k, ntrows, ntcols, cfg, times);
   }
 }
 

@@ -14,10 +14,10 @@
 ///
 /// ONE kernel body serves two call shapes: the classic trailing update
 /// (`tsmqr` — reflector source and update target are the same working
-/// matrix, Stage::TrailingUpdate) and the singular-vector accumulation
+/// matrix, Stage::TrailingUpdate) and the singular-vector replay
 /// (`tsmqr_apply` — separate source and target with independent storage
-/// types, Stage::VectorAccumulation). Keeping a single body guarantees the
-/// two paths can never drift numerically.
+/// types, either direction, Stage::VectorAccumulation). Keeping a single
+/// body guarantees the two paths can never drift numerically.
 
 #include <algorithm>
 #include <type_traits>
@@ -281,35 +281,21 @@ void tsmqr(ka::Backend& be, MatrixView<T> W, index_t row0, index_t k,
                      ka::Stage::TrailingUpdate, times);
 }
 
-/// Singular-vector accumulation variant of TSMQR: apply the TSQRT
-/// reflector sets stored in tiles (l, k) of `V`, l in [lbegin, lend) (tau
-/// rows l of `Tau`), to tile rows row0 (top) and l (bottom) of a
-/// *different* matrix `C`, tile columns [jbegin, jend). Reflector source
-/// and update target have independent storage types — the U/V accumulators
-/// stay in compute precision. Launches are attributed to
+/// Singular-vector variant of TSMQR: apply the TSQRT reflector sets stored
+/// in tiles (l, k) of `V`, l in [lbegin, lend) (tau rows l of `Tau`), to
+/// tile rows row0 (top) and l (bottom) of a *different* matrix `C`, tile
+/// columns [jbegin, jend) — Q^T for ApplyDir::Forward, Q for Backward
+/// (BOTH the row chain and each tile's reflector loop reversed). Reflector
+/// source and update target have independent storage types — singular-
+/// vector targets stay in compute precision. Launches are attributed to
 /// Stage::VectorAccumulation.
 template <class TS, class TA>
 void tsmqr_apply(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
                  MatrixView<TA> C, index_t row0, index_t k, index_t lbegin,
-                 index_t lend, index_t jbegin, index_t jend,
+                 index_t lend, index_t jbegin, index_t jend, ApplyDir dir,
                  const KernelConfig& cfg, ka::StageTimes* times = nullptr) {
   detail::tsmqr_impl(be, V, Tau, C, row0, k, lbegin, lend, jbegin, jend, cfg,
-                     ka::Stage::VectorAccumulation, times);
-}
-
-/// Backward (un-transposed) application: C <- Q * C for the TSQRT reflector
-/// sets of tiles (l, k), l in [lbegin, lend) — the same kernel body as
-/// tsmqr_apply with BOTH the row chain and each tile's reflector loop
-/// reversed (each Householder factor is symmetric, so reverse order
-/// composes Q instead of Q^T). Used by the randomized truncated SVD
-/// (src/rsvd) to expand the implicit range basis Q onto projected factors.
-template <class TS, class TA>
-void tsmqr_apply_q(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
-                   MatrixView<TA> C, index_t row0, index_t k, index_t lbegin,
-                   index_t lend, index_t jbegin, index_t jend,
-                   const KernelConfig& cfg, ka::StageTimes* times = nullptr) {
-  detail::tsmqr_impl(be, V, Tau, C, row0, k, lbegin, lend, jbegin, jend, cfg,
-                     ka::Stage::VectorAccumulation, times, ApplyDir::Backward);
+                     ka::Stage::VectorAccumulation, times, dir);
 }
 
 }  // namespace unisvd::qr

@@ -10,10 +10,10 @@
 ///
 /// ONE kernel body serves two call shapes: the classic trailing update
 /// (`unmqr` — reflector source and update target are the same working
-/// matrix, Stage::TrailingUpdate) and the singular-vector accumulation
+/// matrix, Stage::TrailingUpdate) and the singular-vector replay
 /// (`unmqr_apply` — separate source and target with independent storage
-/// types, Stage::VectorAccumulation). Keeping a single body guarantees the
-/// two paths can never drift numerically.
+/// types, either direction, Stage::VectorAccumulation). Keeping a single
+/// body guarantees the two paths can never drift numerically.
 ///
 /// NOTE (paper erratum): Algorithm 4 line 11 prints `X_i[k:] -= rho`,
 /// which combined with line 12 would update X_i[k+1:] twice. The correct
@@ -235,36 +235,23 @@ void unmqr(ka::Backend& be, MatrixView<T> W, index_t row0, index_t k,
                      ka::Stage::TrailingUpdate, times);
 }
 
-/// Singular-vector accumulation variant of UNMQR: apply Q^T of the GEQRT
-/// factorization stored in tile (row0, k) of `V` (tau row `row0` of `Tau`)
-/// to tile row `row0` of a *different* matrix `C`, tile columns
-/// [jbegin, jend). The reflector source and the update target have
-/// independent storage types: the pipeline keeps the U/V factor
-/// accumulators in compute precision (FP32 for FP16 inputs) while the
-/// reflectors stay in storage precision. Launches are attributed to
+/// Singular-vector variant of UNMQR: apply the GEQRT factorization stored
+/// in tile (row0, k) of `V` (tau row `row0` of `Tau`) to tile row `row0` of
+/// a *different* matrix `C`, tile columns [jbegin, jend) — Q^T for
+/// ApplyDir::Forward, Q for Backward (each Householder factor is
+/// symmetric, so walking the reflectors in reverse composes Q; the role
+/// LAPACK's ORMQR plays with trans='T' / 'N'). The reflector source and the
+/// update target have independent storage types: singular-vector targets
+/// stay in compute precision (FP32 for FP16 inputs) while the reflectors
+/// stay in storage precision. Launches are attributed to
 /// Stage::VectorAccumulation.
 template <class TS, class TA>
 void unmqr_apply(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
                  MatrixView<TA> C, index_t row0, index_t k, index_t jbegin,
-                 index_t jend, const KernelConfig& cfg,
+                 index_t jend, ApplyDir dir, const KernelConfig& cfg,
                  ka::StageTimes* times = nullptr) {
   detail::unmqr_impl(be, V, Tau, C, row0, k, jbegin, jend, cfg,
-                     ka::Stage::VectorAccumulation, times);
-}
-
-/// Backward (un-transposed) application: C <- Q * C for the GEQRT reflector
-/// set of tile (row0, k) of `V` — the same kernel body as unmqr_apply with
-/// the reflector loop reversed (each Householder factor is symmetric, so
-/// reversing the order composes Q instead of Q^T). Used by the randomized
-/// truncated SVD (src/rsvd) to expand the implicit range basis Q onto the
-/// projected factors, the role LAPACK's ORMQR with trans='N' plays.
-template <class TS, class TA>
-void unmqr_apply_q(ka::Backend& be, MatrixView<TS> V, MatrixView<TS> Tau,
-                   MatrixView<TA> C, index_t row0, index_t k, index_t jbegin,
-                   index_t jend, const KernelConfig& cfg,
-                   ka::StageTimes* times = nullptr) {
-  detail::unmqr_impl(be, V, Tau, C, row0, k, jbegin, jend, cfg,
-                     ka::Stage::VectorAccumulation, times, ApplyDir::Backward);
+                     ka::Stage::VectorAccumulation, times, dir);
 }
 
 }  // namespace unisvd::qr

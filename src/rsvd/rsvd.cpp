@@ -7,18 +7,18 @@
 ///
 ///   1. SKETCH      Y = A * Omega, Omega an n x l Gaussian test matrix
 ///                  (l = rank + oversample), via the sketch_gemm kernel.
-///   2. POWER       q times: factor Y = Q R (panel_qr_factor, which also
-///      ITERATE     yields B = Q_full^T A through its accumulator hook),
+///   2. POWER       q times: factor Y = Q R (panel_qr_factor), then
+///      ITERATE     B = Q_full^T A by forward replay of its sweeps,
 ///                  Z = B^T = A^T Q, factor Z = W R' (same trick on A^T),
 ///                  Y = (W^T A^T)^T = A W. Every half-step is a full
 ///                  re-orthonormalization, so the iteration is stable at
 ///                  large q.
 ///   3. PROJECT     B = Q^T A (l_pad x n) from the LAST factorization's
-///                  accumulator — solved by the dense pipeline in COMPUTE
+///                  projection — solved by the dense pipeline in COMPUTE
 ///                  precision (FP32 for FP16 storage): B = U~ S V~t.
 ///   4. COMPOSE     vt = first k rows of V~t; U = Q * U~[:, :k] via
-///                  panel_apply_q (backward reflector replay — Q is never
-///                  materialized).
+///                  qr::replay_sweeps (backward reflector replay — Q is
+///                  never materialized).
 ///
 /// Padding: every panel is zero-padded to the TILESIZE grid. Padded sketch
 /// columns factor into deterministic orthonormal complements (the
@@ -53,11 +53,11 @@ namespace unisvd {
 namespace {
 
 /// Refill `dst` (already shaped to the padded extents) with a zero-padded
-/// compute-precision copy of `src`, divided by `scale`: the accumulator seed
-/// that turns panel_qr_factor into B = Q^T (A/scale). Writing into a
-/// caller-owned RESIDENT buffer — instead of returning a fresh Matrix per
-/// half-step — is what keeps the power iteration's peak accumulator
-/// footprint at ONE (m_pad x n_pad) block (see range_finder).
+/// compute-precision copy of `src`, divided by `scale`: the target the
+/// forward replay of a panel_qr_factor turns into B = Q^T (A/scale).
+/// Writing into a caller-owned RESIDENT buffer — instead of returning a
+/// fresh Matrix per half-step — is what keeps the power iteration's peak
+/// accumulator footprint at ONE (m_pad x n_pad) block (see range_finder).
 template <class T>
 void fill_padded_scaled(ConstMatrixView<T> src, double scale,
                         Matrix<compute_t<T>>& dst) {
@@ -108,12 +108,13 @@ void range_finder(ka::Backend& be, ConstMatrixView<T> at, double scale,
   // matrix_peak_bytes regression test.
   acc = Matrix<CT>(mpad, npad);
   for (int iter = 0;; ++iter) {
-    // Factor Y; the accumulator hook turns the padded copy of A into
-    // B_full = Q_full^T (A/scale) in the same pass.
+    // Factor Y; the forward replay turns the padded copy of A into
+    // B_full = Q_full^T (A/scale).
     if (acc.rows() != mpad) acc.reshape(mpad, npad);
     fill_padded_scaled<T>(at, scale, acc);
-    MatrixView<CT> acc_view = acc.view();
-    qr::panel_qr_factor<T>(be, y.view(), tau.view(), cfg, times, &acc_view);
+    qr::panel_qr_factor<T>(be, y.view(), tau.view(), cfg, times);
+    qr::replay_sweeps<T, CT>(be, y.view(), tau.view(), acc.view(),
+                             qr::ApplyDir::Forward, 0, 0, cfg, times);
     if (iter == power_iters) break;
 
     // Z = (Q^T A)^T = A^T Q : the top l_pad rows of acc, transposed.
@@ -127,8 +128,9 @@ void range_finder(ka::Backend& be, ConstMatrixView<T> at, double scale,
     // W_full^T (A^T/scale).
     acc.reshape(npad, mpad);
     fill_padded_scaled<T>(at.transposed(), scale, acc);
-    MatrixView<CT> acc_t_view = acc.view();
-    qr::panel_qr_factor<T>(be, z.view(), tau.view(), cfg, times, &acc_t_view);
+    qr::panel_qr_factor<T>(be, z.view(), tau.view(), cfg, times);
+    qr::replay_sweeps<T, CT>(be, z.view(), tau.view(), acc.view(),
+                             qr::ApplyDir::Forward, 0, 0, cfg, times);
 
     // Y = (W^T A^T)^T = A W : the top l_pad rows of the reshaped acc,
     // transposed.
@@ -332,9 +334,9 @@ TruncReport svd_truncated_report(ConstMatrixView<T> a, const TruncConfig& config
         comp(i, j) = static_cast<CT>(small.u(i, j));
       }
     }
-    MatrixView<CT> comp_view = comp.view();
-    qr::panel_apply_q<T, CT>(backend, y.view(), tau.view(), comp_view,
-                               config.svd.kernels, &rep.stage_times);
+    qr::replay_sweeps<T, CT>(backend, y.view(), tau.view(), comp.view(),
+                             qr::ApplyDir::Backward, 0, 0, config.svd.kernels,
+                             &rep.stage_times);
     const auto t0 = std::chrono::steady_clock::now();
 
     rep.rank = k;

@@ -1,8 +1,8 @@
 /// Tests of the randomized truncated SVD subsystem (src/rsvd):
 ///
 ///   * kernel-level: sketch_gemm against the reference matmul, and the
-///     backward reflector replay (panel_apply_q) inverting the forward
-///     Q^T application exactly;
+///     backward reflector replay (qr::replay_sweeps) inverting the forward
+///     Q^T replay;
 ///   * pipeline-level: rank-k reconstruction error within (1 + eps) of the
 ///     OPTIMAL rank-k error (the sigma_{k+1} tail bound) across
 ///     FP16/FP32/FP64 x tall/square/wide, values cross-validated against
@@ -116,10 +116,10 @@ TEST(SketchGemm, ScaleDividesExactlyOnce) {
   }
 }
 
-TEST(PanelApplyQ, InvertsForwardApplication) {
-  // acc <- Q^T acc during the factorization, then panel_apply_q composes Q
-  // back on top: the roundtrip must reproduce the original target to
-  // orthogonal-transform accuracy.
+TEST(PanelReplay, BackwardInvertsForward) {
+  // A forward replay gives acc <- Q^T acc, then the backward replay
+  // composes Q back on top: the roundtrip must reproduce the original
+  // target to orthogonal-transform accuracy.
   for (const bool fused : {true, false}) {
     const index_t mpad = 96;
     const index_t lpad = 32;
@@ -131,23 +131,26 @@ TEST(PanelApplyQ, InvertsForwardApplication) {
     Matrix<float> panel = convert<float>(testutil::random_matrix(mpad, lpad, 21));
     const Matrix<double> x64 = testutil::random_matrix(mpad, 64, 22);
     Matrix<float> acc = convert<float>(x64);
-    MatrixView<float> acc_view = acc.view();
 
     Matrix<float> tau(qr::panel_tau_rows(mpad / 32, lpad / 32), 32, 0.0f);
     qr::panel_qr_factor<float>(ka::default_backend(), panel.view(), tau.view(),
-                                 cfg, nullptr, &acc_view);
+                                 cfg);
+    qr::replay_sweeps<float, float>(ka::default_backend(), panel.view(),
+                                    tau.view(), acc.view(),
+                                    qr::ApplyDir::Forward, 0, 0, cfg);
     // acc now holds Q^T X, and generically differs from X.
     EXPECT_GT(ref::fro_diff(acc.view(), convert<float>(x64).view()), 1e-2);
 
-    qr::panel_apply_q<float, float>(ka::default_backend(), panel.view(),
-                                      tau.view(), acc_view, cfg);
+    qr::replay_sweeps<float, float>(ka::default_backend(), panel.view(),
+                                    tau.view(), acc.view(),
+                                    qr::ApplyDir::Backward, 0, 0, cfg);
     EXPECT_LT(ref::fro_diff(acc.view(), convert<float>(x64).view()),
               1e-4 * ref::fro_norm(x64.view()))
         << "fused = " << fused;
   }
 }
 
-TEST(PanelApplyQ, ComposesOrthonormalBasis) {
+TEST(PanelReplay, ComposesOrthonormalBasis) {
   // Q applied to the identity block [I; 0] must yield orthonormal columns
   // spanning the panel's range.
   const index_t mpad = 128;
@@ -159,9 +162,9 @@ TEST(PanelApplyQ, ComposesOrthonormalBasis) {
                                 cfg);
   Matrix<double> q(mpad, lpad, 0.0);
   for (index_t i = 0; i < lpad; ++i) q(i, i) = 1.0;
-  MatrixView<double> q_view = q.view();
-  qr::panel_apply_q<double, double>(ka::default_backend(), panel.view(),
-                                      tau.view(), q_view, cfg);
+  qr::replay_sweeps<double, double>(ka::default_backend(), panel.view(),
+                                    tau.view(), q.view(),
+                                    qr::ApplyDir::Backward, 0, 0, cfg);
   EXPECT_LT(ref::orthogonality_defect(q.view()), 1e-12 * mpad);
 }
 
